@@ -4,8 +4,9 @@ run verification suites.
 One JSON config document drives everything; numeric defaults mirror the
 solver defaults (C = 1/128, tol = 5e-6, noise 1e-3).  Exit codes:
 0 converged / all checks passed, 2 iteration budget exhausted, 1 numeric
-failure, 64 malformed config, missing file, or unknown suite.  Logging
-level comes from FPGD_LOG (error | info | debug).
+failure, 64 malformed config (a solver block that SolverConfig rejects
+included), missing file, or unknown suite.  Logging level comes from
+FPGD_LOG (error | info | debug).
 """
 
 import argparse
@@ -116,18 +117,21 @@ def build_instance(problem, seed):
 
 
 def build_solver_config(solver, rank):
-    cfg = SolverConfig(
-        rank=rank,
-        max_iters=int(solver.get("max_iters", 10000)),
-        tol=float(solver.get("tol", 5e-6)),
-        step_size_constant=(
-            None
-            if solver.get("step_size_constant") is None
-            else float(solver["step_size_constant"])
-        ),
-        step_mode=solver.get("step_mode", "fixed_from_init"),
-        record_truth_dist=bool(solver.get("record_truth_dist", False)),
-    )
+    try:
+        cfg = SolverConfig(
+            rank=rank,
+            max_iters=int(solver.get("max_iters", 10000)),
+            tol=float(solver.get("tol", 5e-6)),
+            step_size_constant=(
+                None
+                if solver.get("step_size_constant") is None
+                else float(solver["step_size_constant"])
+            ),
+            step_mode=solver.get("step_mode", "fixed_from_init"),
+            record_truth_dist=bool(solver.get("record_truth_dist", False)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid solver block: {exc}") from exc
     algorithm = solver.get("algorithm", "projfgd")
     if algorithm not in ("projfgd", "fgd"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -207,7 +211,9 @@ def cmd_sweep(args):
     c_sams = [float(v) for v in _require(grid, "c_sam", "sweep")]
     n_seeds = int(grid.get("seeds", 1))
     noise = float(grid.get("noise", 1e-3))
-    solver_json = json.dumps(doc.get("solver", {}))
+    solver_doc = doc.get("solver", {})
+    build_solver_config(solver_doc, rank=1)  # a bad block fails before any cell runs
+    solver_json = json.dumps(solver_doc)
 
     cells = []
     index = 0

@@ -11,17 +11,22 @@ asserted.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import procrustes_align, procrustes_dist, spectral_norm, trace_inner
 from .problems import gen_qst, gen_synthetic, unconstrained
-from .solver import SolverConfig, fgd_solve, init_point, projfgd_solve
+from .solver import (
+    PROJFGD_STEP_CONSTANT,
+    SolverConfig,
+    _adaptive_step,
+    fgd_solve,
+    init_point,
+    projfgd_solve,
+)
 
 __all__ = [
     "LemmaReport",
     "MARGIN_ABS_TOL",
     "relative_error",
-    "adaptive_step",
     "fd_gradient",
     "fd_factored_gradient",
     "descent_lemma_margin",
@@ -43,7 +48,7 @@ MARGIN_REL_TOL = 1e-9
 THEOREM_RADIUS_C = 1.0 / 200.0
 PROJFGD_ALPHA_CONSTANT = 550.0
 FGD_ALPHA_CONSTANT = 64.0
-XI_LOWER_BOUND = 128.0 / 129.0
+XI_LOWER_BOUND = 1.0 / (1.0 + PROJFGD_STEP_CONSTANT)  # 128/129
 
 
 @dataclass
@@ -94,19 +99,6 @@ def _truth_singular_values(instance):
     return np.linalg.svd(instance.truth_factor, compute_uv=False)
 
 
-def adaptive_step(objective, u, grad_x, l_hat=None):
-    """Per-iteration analysis step 1/(128 (L ||X||_2 + ||Q Q^H grad||_2))."""
-    if l_hat is None:
-        l_hat = objective.smoothness()
-    x = u @ u.conj().T
-    q = scipy.linalg.orth(u)
-    proj_norm = float(np.linalg.norm(q.conj().T @ grad_x, 2)) if q.size else 0.0
-    denom = l_hat * spectral_norm(x) + proj_norm
-    if denom == 0.0:
-        raise ValueError("zero step denominator")
-    return 1.0 / (128.0 * denom)
-
-
 def descent_lemma_margin(instance, u, mu_hat=None, l_hat=None):
     """Margin of the constrained descent inequality at factor ``u``:
 
@@ -125,7 +117,9 @@ def descent_lemma_margin(instance, u, mu_hat=None, l_hat=None):
     u = np.asarray(u)
     x = u @ u.conj().T
     grad_x = obj.grad(x)
-    eta = adaptive_step(obj, u, grad_x, l_hat=l_hat)
+    eta = _adaptive_step(l_hat, u, x, grad_x, PROJFGD_STEP_CONSTANT)
+    if eta is None:
+        raise ValueError("zero step denominator")
     gu = grad_x @ u
     u_tilde = u - eta * gu
     u_next, _ = instance.constraint.project(u_tilde)
@@ -222,15 +216,13 @@ def check_tu_inequality(trials=1000, n=10, r=3, seed=0, complex_field=False):
     return report
 
 
-def fit_contraction(trace, truth=None, radius=None, abs_tol=MARGIN_ABS_TOL):
+def fit_contraction(trace, radius=None, abs_tol=MARGIN_ABS_TOL):
     """Largest per-step ratio Dist_{t+1}^2 / Dist_t^2 over steps starting
     inside ``radius`` (all steps when None).
 
     Ratios are taken net of an absolute floor ``abs_tol`` on the squared
     distances, so a converged (machine-noise) tail fits as 0 rather than
     as ratio-one stagnation; an exactly-zero tail returns 0 by convention.
-    The distances recorded in the trace are authoritative; ``truth`` is
-    accepted for signature symmetry with the solve that produced them.
     """
     dists = trace.dist_series()
     if any(np.isnan(d) for d in dists):
@@ -268,34 +260,29 @@ def contraction_alpha(instance, constant=PROJFGD_ALPHA_CONSTANT, mu_hat=None, l_
 def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
     """Run a solve from inside the theorem radius and test every
     in-radius step for Dist_{t+1}^2 <= alpha Dist_t^2 + 1e-9."""
+    # Looked up per call, so a wrapped module-level solve function is the one run.
+    runs = {
+        "projfgd": (projfgd_solve, "adaptive_per_iter", PROJFGD_ALPHA_CONSTANT),
+        "fgd": (fgd_solve, "fixed_from_init", FGD_ALPHA_CONSTANT),
+    }
+    if algorithm not in runs:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    solve, step_mode, alpha_constant = runs[algorithm]
     obj = instance.objective
     l_hat = obj.smoothness()
     mu_hat = obj.strong_convexity(instance.rank)
     radius = contraction_radius(instance, mu_hat=mu_hat, l_hat=l_hat)
     rng = np.random.default_rng(seed)
     u0 = perturb_within_radius(instance, radius, rng)
-    if algorithm == "projfgd":
-        cfg = SolverConfig(
-            rank=instance.rank,
-            max_iters=iters,
-            tol=1e-14,
-            step_mode="adaptive_per_iter",
-            record_truth_dist=True,
-        )
-        _, trace = projfgd_solve(instance, cfg, u0=u0)
-        alpha = contraction_alpha(instance, PROJFGD_ALPHA_CONSTANT, mu_hat=mu_hat, l_hat=l_hat)
-    elif algorithm == "fgd":
-        cfg = SolverConfig(
-            rank=instance.rank,
-            max_iters=iters,
-            tol=1e-14,
-            step_mode="fixed_from_init",
-            record_truth_dist=True,
-        )
-        _, trace = fgd_solve(instance, cfg, u0=u0)
-        alpha = contraction_alpha(instance, FGD_ALPHA_CONSTANT, mu_hat=mu_hat, l_hat=l_hat)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    cfg = SolverConfig(
+        rank=instance.rank,
+        max_iters=iters,
+        tol=1e-14,
+        step_mode=step_mode,
+        record_truth_dist=True,
+    )
+    _, trace = solve(instance, cfg, u0=u0)
+    alpha = contraction_alpha(instance, alpha_constant, mu_hat=mu_hat, l_hat=l_hat)
 
     report = LemmaReport(
         f"contraction_{algorithm}",
@@ -313,7 +300,7 @@ def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
 
 def check_xi_bound(instance, iters=400, seed=0):
     """Frobenius-ball scaling factors: every iteration where the
-    projection fires must have xi >= 128/129 (adaptive step)."""
+    projection fires must have xi >= 1/(1 + C) = 128/129 (adaptive step)."""
     if instance.constraint.kind != "frobenius_ball":
         raise ValueError("xi bound is asserted only for the Frobenius-ball constraint")
     cfg = SolverConfig(

@@ -7,6 +7,8 @@ fields.  Factor alignment uses unitary matrices in the complex case (the
 natural extension of the orthogonal group; real inputs recover O(r)).
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
@@ -29,15 +31,11 @@ __all__ = [
 _RANK_EPS = 1e-12
 
 
-class EigPair:
+class EigPair(NamedTuple):
     """Top-r eigenvalues (descending) with orthonormal eigenvectors."""
 
-    def __init__(self, values, vectors):
-        self.values = np.asarray(values, dtype=float)
-        self.vectors = np.asarray(vectors)
-
-    def __iter__(self):
-        return iter((self.values, self.vectors))
+    values: np.ndarray
+    vectors: np.ndarray
 
 
 def trace_inner(a, b):

@@ -18,6 +18,28 @@ from .linalg import require_hermitian
 
 __all__ = ["MeasurementEnsemble", "Objective", "empirical_rip"]
 
+# Power iteration for L_hat: relative Rayleigh-quotient tolerance, iteration
+# cap, and the seed of the start vector.
+_SMOOTHNESS_TOL = 1e-6
+_SMOOTHNESS_MAX_ITERS = 20000
+_SMOOTHNESS_SEED = 0
+
+
+def _encode_array(a):
+    """Flat JSON list of the entries of ``a``; complex entries as [re, im]."""
+    a = np.ascontiguousarray(a)
+    if np.iscomplexobj(a):
+        return a.view(float).reshape(-1, 2).tolist()
+    return a.ravel().tolist()
+
+
+def _decode_array(doc, complex_field, shape):
+    """Inverse of ``_encode_array``; ``doc`` may nest one list per matrix."""
+    arr = np.array(doc, dtype=float)
+    if complex_field:
+        arr = arr.reshape(-1, 2).view(complex)
+    return arr.reshape(shape)
+
 
 class MeasurementEnsemble:
     """Linear sensing operator: m Hermitian operators plus observations.
@@ -44,9 +66,8 @@ class MeasurementEnsemble:
         self.operators = operators
         self.y = y
         self.noise_norm = float(noise_norm)
-        # Flattened views make apply/adjoint single BLAS calls.
+        # A flattened view makes apply/adjoint single BLAS calls.
         self._flat = operators.reshape(operators.shape[0], -1)
-        self._flat_conj = self._flat.conj()
 
     @property
     def m(self):
@@ -61,11 +82,15 @@ class MeasurementEnsemble:
         return "complex" if np.iscomplexobj(self.operators) else "real"
 
     def apply(self, x):
-        """A(X): real vector of Re trace(E_i X)."""
+        """A(X): real vector of Re trace(E_i X).
+
+        For Hermitian E_i, Re trace(E_i X) = Re(vec E_i . conj vec X) for
+        any X, so the operator stack is never conjugated.
+        """
         x = np.asarray(x)
         if x.shape != (self.dim, self.dim):
             raise ValueError(f"dimension mismatch: expected {(self.dim, self.dim)}, got {x.shape}")
-        return np.real(self._flat_conj @ x.ravel())
+        return np.real(self._flat @ x.conj().ravel())
 
     def adjoint(self, z):
         """A*(z) = sum_i z_i E_i; Hermitian for real z."""
@@ -78,18 +103,11 @@ class MeasurementEnsemble:
 
     def to_json_dict(self):
         """{dim, field, operators, y, noise_norm}; complex entries as [re, im]."""
-        if self.field == "complex":
-            ops = [
-                [[float(c.real), float(c.imag)] for c in op.ravel()]
-                for op in self.operators
-            ]
-        else:
-            ops = [[float(c) for c in op.ravel()] for op in self.operators]
         return {
             "dim": int(self.dim),
             "field": self.field,
-            "operators": ops,
-            "y": [float(v) for v in self.y],
+            "operators": [_encode_array(op) for op in self.operators],
+            "y": _encode_array(self.y),
             "noise_norm": self.noise_norm,
         }
 
@@ -100,12 +118,7 @@ class MeasurementEnsemble:
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}")
         raw = doc["operators"]
-        if field == "complex":
-            ops = np.array(
-                [[complex(re, im) for re, im in op] for op in raw], dtype=complex
-            ).reshape(len(raw), n, n)
-        else:
-            ops = np.array(raw, dtype=float).reshape(len(raw), n, n)
+        ops = _decode_array(raw, field == "complex", (len(raw), n, n))
         return cls(ops, np.array(doc["y"], dtype=float), float(doc["noise_norm"]))
 
     def save(self, path):
@@ -159,21 +172,21 @@ class Objective:
             raise ValueError(f"factor must be ({self.dim}, r), got {u.shape}")
         return self.grad(u @ u.conj().T) @ u
 
-    def smoothness(self, tol=1e-6, max_iters=20000, seed=0):
+    def smoothness(self):
         """L_hat = 2 lambda_max of the Gram form of A, by power iteration.
 
         Iterates z <- A(A*(z)) on the m-vector side (same nonzero spectrum
         as the n^2-side Gram form) until the Rayleigh quotient is stable
-        to ``tol`` relative.
+        to ``_SMOOTHNESS_TOL`` relative.
         """
         if self._smoothness is not None:
             return self._smoothness
         ens = self.ensemble
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_SMOOTHNESS_SEED)
         z = rng.standard_normal(ens.m)
         z /= np.linalg.norm(z)
         lam = 0.0
-        for _ in range(max_iters):
+        for _ in range(_SMOOTHNESS_MAX_ITERS):
             w = ens.apply(ens.adjoint(z))
             lam_new = float(z @ w)
             nw = np.linalg.norm(w)
@@ -181,7 +194,7 @@ class Objective:
                 lam_new = 0.0
                 break
             z = w / nw
-            if abs(lam_new - lam) <= tol * abs(lam_new):
+            if abs(lam_new - lam) <= _SMOOTHNESS_TOL * abs(lam_new):
                 lam = lam_new
                 break
             lam = lam_new

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import project_frobenius_ball, project_l1_ball
-from .objective import MeasurementEnsemble, Objective
+from .objective import MeasurementEnsemble, Objective, _decode_array, _encode_array
 
 __all__ = [
     "ConstraintSet",
@@ -127,16 +127,9 @@ class ProblemInstance:
     def save(self, ensemble_path, companion_path):
         """Write the ensemble JSON and the {truth, constraint, seed} companion."""
         self.objective.ensemble.save(ensemble_path)
-        complex_field = np.iscomplexobj(self.truth_x)
-
-        def encode(mat):
-            if complex_field:
-                return [[float(c.real), float(c.imag)] for c in np.asarray(mat).ravel()]
-            return [float(c) for c in np.asarray(mat).ravel()]
-
         doc = {
-            "truth": encode(self.truth_x),
-            "truth_factor": encode(self.truth_factor),
+            "truth": _encode_array(self.truth_x),
+            "truth_factor": _encode_array(self.truth_factor),
             "constraint": self.constraint.to_json_dict(),
             "rank": int(self.rank),
             "seed": int(self.seed),
@@ -151,18 +144,11 @@ class ProblemInstance:
             doc = json.load(fh)
         n = ensemble.dim
         rank = int(doc["rank"])
-
-        def decode(flat, shape):
-            if ensemble.field == "complex":
-                arr = np.array([complex(re, im) for re, im in flat], dtype=complex)
-            else:
-                arr = np.array(flat, dtype=float)
-            return arr.reshape(shape)
-
+        complex_field = ensemble.field == "complex"
         return cls(
             objective=Objective(ensemble),
-            truth_x=decode(doc["truth"], (n, n)),
-            truth_factor=decode(doc["truth_factor"], (n, rank)),
+            truth_x=_decode_array(doc["truth"], complex_field, (n, n)),
+            truth_factor=_decode_array(doc["truth_factor"], complex_field, (n, rank)),
             constraint=ConstraintSet.from_json_dict(doc["constraint"]),
             rank=rank,
             seed=int(doc["seed"]),
@@ -228,6 +214,24 @@ def _scaled_noise(rng, m, noise_norm):
     return eta * (noise_norm / np.linalg.norm(eta))
 
 
+def _observed_instance(ops, truth_factor, rng, noise_norm, constraint, seed, meta):
+    # Shared generator tail: observe X* = U* U*^H through ``ops`` and add the
+    # noise, drawn from ``rng`` after everything else.
+    truth_x = truth_factor @ truth_factor.conj().T
+    truth_x = 0.5 * (truth_x + truth_x.conj().T)
+    ensemble = MeasurementEnsemble(ops, np.zeros(len(ops)), noise_norm)
+    ensemble.y = ensemble.apply(truth_x) + _scaled_noise(rng, ensemble.m, noise_norm)
+    return ProblemInstance(
+        objective=Objective(ensemble),
+        truth_x=truth_x,
+        truth_factor=truth_factor,
+        constraint=constraint,
+        rank=truth_factor.shape[1],
+        seed=seed,
+        meta=meta,
+    )
+
+
 def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     """Quantum state tomography instance: rank-r density matrix, Pauli
     measurements, Frobenius-ball factored constraint.
@@ -254,26 +258,17 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     rng = np.random.default_rng(seed)
     strings = _sample_distinct_paulis(q, m, rng)
     scale = n**1.5 / np.sqrt(m)
-    ops = np.stack([scale * pauli_operator(q, s) for s in strings])
+    ops = np.empty((m, n, n), dtype=complex)  # filled in place: one stack in memory
+    for k, s in enumerate(strings):
+        ops[k] = scale * pauli_operator(q, s)
 
     g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     basis, _ = np.linalg.qr(g)
     spectrum = rng.dirichlet(np.ones(r))
     spectrum = np.sort(spectrum)[::-1]
     truth_factor = basis * np.sqrt(spectrum)
-    truth_x = truth_factor @ truth_factor.conj().T
-    truth_x = 0.5 * (truth_x + truth_x.conj().T)
-
-    ensemble = MeasurementEnsemble(ops, np.zeros(m), noise_norm)
-    clean = ensemble.apply(truth_x)
-    ensemble = MeasurementEnsemble(ops, clean + _scaled_noise(rng, m, noise_norm), noise_norm)
-    return ProblemInstance(
-        objective=Objective(ensemble),
-        truth_x=truth_x,
-        truth_factor=truth_factor,
-        constraint=frobenius_ball(1.0),
-        rank=r,
-        seed=seed,
+    return _observed_instance(
+        ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed,
         meta={"kind": "qst", "q": q, "c_sam": c_sam, "pauli_strings": strings},
     )
 
@@ -298,32 +293,12 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
 
     a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
     ops = np.einsum("mi,mj->mij", a, a.conj())
-    truth_factor = x[:, None]
-    truth_x = truth_factor @ truth_factor.conj().T
-    truth_x = 0.5 * (truth_x + truth_x.conj().T)
-
-    ensemble = MeasurementEnsemble(ops, np.zeros(m), noise_norm)
-    clean = ensemble.apply(truth_x)
-    ensemble = MeasurementEnsemble(ops, clean + _scaled_noise(rng, m, noise_norm), noise_norm)
     if lam is None:
         lam = 1.2 * float(np.abs(x).sum())
-    return ProblemInstance(
-        objective=Objective(ensemble),
-        truth_x=truth_x,
-        truth_factor=truth_factor,
-        constraint=l1_ball(lam),
-        rank=1,
-        seed=seed,
+    return _observed_instance(
+        ops, x[:, None], rng, noise_norm, l1_ball(lam), seed,
         meta={"kind": "phase_retrieval", "sparsity": sparsity},
     )
-
-
-def octanary_pattern(n, rng):
-    """One coded-diffraction octanary mask (provided for completeness;
-    the desk-scale generator uses Gaussian vectors instead)."""
-    phases = rng.choice([1, -1, 1j, -1j], size=n)
-    mags = np.where(rng.random(n) < 0.8, np.sqrt(2.0) / 2.0, np.sqrt(3.0))
-    return phases * mags
 
 
 def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
@@ -351,18 +326,7 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
         spectrum = condition_number ** (-np.arange(r) / (r - 1))
     spectrum = spectrum / spectrum.sum()
     truth_factor = basis * np.sqrt(spectrum)
-    truth_x = truth_factor @ truth_factor.T
-    truth_x = 0.5 * (truth_x + truth_x.T)
-
-    ensemble = MeasurementEnsemble(ops, np.zeros(m), noise_norm)
-    clean = ensemble.apply(truth_x)
-    ensemble = MeasurementEnsemble(ops, clean + _scaled_noise(rng, m, noise_norm), noise_norm)
-    return ProblemInstance(
-        objective=Objective(ensemble),
-        truth_x=truth_x,
-        truth_factor=truth_factor,
-        constraint=frobenius_ball(1.0),
-        rank=r,
-        seed=seed,
+    return _observed_instance(
+        ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed,
         meta={"kind": "synthetic", "condition_number": condition_number},
     )

@@ -89,6 +89,16 @@ class SolveTrace:
         return [self.initial_dist] + list(self.dist)
 
 
+def _init(obj, constraint, r):
+    # X_0 = (1/L_hat) Pi_+(-grad f(0)) and the projected top-r factor U_0 of it;
+    # the fixed step is taken at this X_0, not at U_0 U_0^H.
+    n = obj.dim
+    zero = np.zeros((n, n), dtype=obj.ensemble.operators.dtype)
+    x0 = psd_project(-obj.grad(zero)) / obj.smoothness()
+    u0, _ = constraint.project(factor_from_psd(x0, r))
+    return x0, u0
+
+
 def init_point(obj, constraint, r):
     """Initial factor: X_0 = (1/L_hat) Pi_+(-grad f(0)), top-r factor,
     then projected onto the constraint set.
@@ -96,21 +106,21 @@ def init_point(obj, constraint, r):
     Degenerate case: if -grad f(0) has no positive part the zero factor
     is returned (a documented fixed point of the iteration).
     """
-    n = obj.dim
-    zero = np.zeros((n, n), dtype=obj.ensemble.operators.dtype)
-    g0 = obj.grad(zero)
-    x0 = psd_project(-g0) / obj.smoothness()
-    u0 = factor_from_psd(x0, r)
-    u0, _ = constraint.project(u0)
-    return u0
+    return _init(obj, constraint, r)[1]
+
+
+def _fixed_step(obj, x0, constant):
+    # None when x0 and grad f(x0) both vanish.
+    denom = obj.smoothness() * spectral_norm(x0) + spectral_norm(obj.grad(x0))
+    return constant / denom if denom != 0.0 else None
 
 
 def step_size(obj, x0, constant=PROJFGD_STEP_CONSTANT):
     """eta = C / (L_hat ||x0||_2 + ||grad f(x0)||_2)."""
-    denom = obj.smoothness() * spectral_norm(x0) + spectral_norm(obj.grad(x0))
-    if denom == 0.0:
+    eta = _fixed_step(obj, x0, constant)
+    if eta is None:
         raise ValueError("zero step-size denominator: x0 and grad f(x0) both vanish")
-    return constant / denom
+    return eta
 
 
 def _column_space_grad_norm(u, grad_x):
@@ -122,6 +132,13 @@ def _column_space_grad_norm(u, grad_x):
     return float(np.linalg.norm(q.conj().T @ grad_x, 2))
 
 
+def _adaptive_step(l_hat, u, x, grad_x, constant):
+    """Per-iteration step C / (L_hat ||X||_2 + ||Q_U Q_U^H grad f(X)||_2)
+    at X = U U^H; None when both terms vanish."""
+    denom = l_hat * spectral_norm(x) + _column_space_grad_norm(u, grad_x)
+    return constant / denom if denom != 0.0 else None
+
+
 def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
     obj = instance.objective
     constant = cfg.step_size_constant if cfg.step_size_constant is not None else default_constant
@@ -129,14 +146,9 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
     t0 = time.perf_counter()
 
     if u0 is None:
-        n = obj.dim
-        zero = np.zeros((n, n), dtype=obj.ensemble.operators.dtype)
-        x_ref = psd_project(-obj.grad(zero)) / l_hat
-        u = factor_from_psd(x_ref, cfg.rank)
-        u, _ = constraint.project(u)
+        x_ref, u = _init(obj, constraint, cfg.rank)
     else:
-        u = np.asarray(u0)
-        u, _ = constraint.project(u)
+        u, _ = constraint.project(np.asarray(u0))
         x_ref = u @ u.conj().T
 
     trace = SolveTrace()
@@ -155,22 +167,20 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
 
     eta = None
     if cfg.step_mode == "fixed_from_init":
-        denom = l_hat * spectral_norm(x_ref) + spectral_norm(obj.grad(x_ref))
-        if denom == 0.0:
+        eta = _fixed_step(obj, x_ref, constant)
+        if eta is None:
             trace.status = "converged"  # zero gradient at a zero iterate: fixed point
             trace.elapsed_ms = 1e3 * (time.perf_counter() - t0)
             return u, trace
-        eta = constant / denom
         trace.step_eta = eta
 
     for t in range(1, cfg.max_iters + 1):
         grad_x = obj.grad_from_residual(res)
         if cfg.step_mode == "adaptive_per_iter":
-            denom = l_hat * spectral_norm(x) + _column_space_grad_norm(u, grad_x)
-            if denom == 0.0:
+            eta = _adaptive_step(l_hat, u, x, grad_x, constant)
+            if eta is None:
                 trace.status = "converged"
                 break
-            eta = constant / denom
             if np.isnan(trace.step_eta):
                 trace.step_eta = eta
         gu = grad_x @ u

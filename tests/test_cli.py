@@ -52,6 +52,17 @@ def test_malformed_config_exits_64(tmp_path):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "bad", [{"step_mode": "bogus"}, {"tol": 0.0}, {"step_size_constant": 1.5}],
+    ids=["step_mode", "tol", "step_size_constant"],
+)
+def test_invalid_solver_block_exits_64(tmp_path, bad):
+    doc = dict(QST_SOLVE_CONFIG, solver=dict(QST_SOLVE_CONFIG["solver"], **bad))
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
 def test_missing_config_exits_64(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
@@ -166,6 +177,16 @@ def sweep_config(qs, c_sams, seeds, out=None):
         "sweep": {"q": qs, "r": [1], "c_sam": c_sams, "seeds": seeds, "noise": 1e-3},
         "solver": {"tol": 5e-6, "step_size_constant": 0.5},
     }
+
+
+def test_sweep_invalid_solver_block_exits_64_before_any_cell(tmp_path):
+    doc = sweep_config([3], [2.0, 3.0], 1)
+    doc["solver"]["step_mode"] = "bogus"
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_grid_row_count(tmp_path):

@@ -1,0 +1,102 @@
+"""Golden outputs: small CLI runs must reproduce committed files byte for byte.
+
+The fixtures under ``tests/data/golden/<case>/`` hold ``trace.csv`` and
+``summary.json`` (without the wall-clock ``elapsed_ms``) of ``fpgd solve``,
+and ``ensemble.json`` / ``instance.json`` of ``fpgd generate``.  Rewrite
+them only for an intended change of behaviour:
+
+    PYTHONPATH=src python tests/test_golden.py tests/data/golden
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from fpgd.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+SOLVE_CASES = {
+    "qst_q3_projfgd": {
+        "seed": 1,
+        "problem": {"kind": "qst", "q": 3, "r": 1, "c_sam": 3.0, "noise": 1e-3},
+        "solver": {"algorithm": "projfgd", "step_size_constant": 0.5},
+    },
+    "phase_retrieval_n16_l1": {
+        "seed": 2,
+        "problem": {"kind": "phase_retrieval", "n": 16, "sparsity": 2, "m": 96},
+        "solver": {"algorithm": "projfgd", "step_size_constant": 0.5, "max_iters": 3000},
+    },
+    "synthetic_n8_adaptive": {
+        "seed": 3,
+        "problem": {"kind": "synthetic", "n": 8, "r": 2, "m": 96, "noise": 1e-3},
+        "solver": {
+            "algorithm": "projfgd",
+            "step_mode": "adaptive_per_iter",
+            "step_size_constant": 0.5,
+            "record_truth_dist": True,
+            "max_iters": 3000,
+        },
+    },
+    "synthetic_n8_fgd": {
+        "seed": 4,
+        "problem": {"kind": "synthetic", "n": 8, "r": 2, "m": 96, "noise": 1e-3},
+        "solver": {"algorithm": "fgd", "step_size_constant": 0.5, "max_iters": 3000},
+    },
+}
+
+GENERATE_CASES = {
+    "generate_qst_q2": {
+        "seed": 5,
+        "problem": {"kind": "qst", "q": 2, "r": 1, "c_sam": 2.0, "noise": 1e-3},
+    },
+    "generate_synthetic_n4": {
+        "seed": 6,
+        "problem": {"kind": "synthetic", "n": 4, "r": 1, "m": 24, "noise": 1e-3},
+    },
+}
+
+
+def run_case(command, doc, workdir):
+    """Run one CLI case in ``workdir``; returns {file name: bytes}."""
+    workdir = Path(workdir)
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = workdir / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    if command == "generate":
+        return {name: (out / name).read_bytes() for name in ("ensemble.json", "instance.json")}
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["elapsed_ms"]
+    return {
+        "trace.csv": (out / "trace.csv").read_bytes(),
+        "summary.json": (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode(),
+    }
+
+
+ALL_CASES = [("solve", name, doc) for name, doc in SOLVE_CASES.items()] + [
+    ("generate", name, doc) for name, doc in GENERATE_CASES.items()
+]
+
+
+@pytest.mark.parametrize("command,name,doc", ALL_CASES, ids=[c[1] for c in ALL_CASES])
+def test_outputs_match_golden_files(command, name, doc, tmp_path):
+    outputs = run_case(command, doc, tmp_path)
+    for file_name, data in outputs.items():
+        assert data == (GOLDEN / name / file_name).read_bytes(), f"{name}/{file_name} differs"
+
+
+def write_fixtures(root):
+    for command, name, doc in ALL_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = run_case(command, doc, tmp)
+        (Path(root) / name).mkdir(parents=True, exist_ok=True)
+        for file_name, data in outputs.items():
+            (Path(root) / name / file_name).write_bytes(data)
+
+
+if __name__ == "__main__":
+    write_fixtures(sys.argv[1])

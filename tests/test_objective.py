@@ -48,12 +48,14 @@ def test_value_matches_naive_summation():
     for complex_field in (False, True):
         ens = random_ensemble(rng, 5, 8, complex_field)
         obj = Objective(ens)
-        x = random_hermitian(rng, 5, complex_field)
-        naive = sum(
-            (np.real(np.trace(ens.operators[k] @ x)) - ens.y[k]) ** 2
-            for k in range(ens.m)
-        )
-        assert obj.value(x) == pytest.approx(naive, rel=1e-12)
+        hermitian = random_hermitian(rng, 5, complex_field)
+        general = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        for x in (hermitian, general):
+            naive = sum(
+                (np.real(np.trace(ens.operators[k] @ x)) - ens.y[k]) ** 2
+                for k in range(ens.m)
+            )
+            assert obj.value(x) == pytest.approx(naive, rel=1e-12)
 
 
 def test_value_dimension_mismatch():

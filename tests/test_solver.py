@@ -1,5 +1,6 @@
 """Solver: initialization, step size, iteration, stopping, trace export."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -187,6 +188,23 @@ def test_divergence_status_on_nonfinite_start():
     with np.errstate(over="ignore"):
         _, trace = fgd_solve(inst, cfg, u0=np.array([[1e200]]))
     assert trace.status == "diverged"
+
+
+@pytest.mark.parametrize("solve", [projfgd_solve, fgd_solve])
+@pytest.mark.parametrize("step_mode", ["fixed_from_init", "adaptive_per_iter"])
+def test_zero_observations_converge_without_a_step(solve, step_mode):
+    # y = 0 makes grad f(0) = 0, so X_0 = 0 and both step denominators
+    # vanish: the solve stops at its fixed point instead of raising.
+    inst = gen_synthetic(n=6, r=2, m=40, condition_number=2.0, noise_norm=0.0, seed=0)
+    ens = inst.objective.ensemble
+    inst = dataclasses.replace(
+        inst, objective=Objective(MeasurementEnsemble(ens.operators, np.zeros(ens.m)))
+    )
+    u, trace = solve(inst, SolverConfig(rank=2, step_mode=step_mode))
+    assert trace.status == "converged"
+    assert trace.n_iters == 0
+    assert np.isnan(trace.step_eta)
+    assert np.array_equal(u, np.zeros((6, 2)))
 
 
 def test_adaptive_step_mode_converges():
