@@ -11,6 +11,7 @@ FPGD_LOG (error | info | debug).
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import os
@@ -152,9 +153,10 @@ def cmd_solve(args):
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     out = Path(args.out or doc.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
+    # A bad solver block fails before the instance is generated.
+    cfg, algorithm = build_solver_config(doc.get("solver", {}), rank=1)
     instance = build_instance(_require(doc, "problem", "config"), seed)
-    solver_doc = doc.get("solver", {})
-    cfg, algorithm = build_solver_config(solver_doc, rank=instance.rank)
+    cfg = dataclasses.replace(cfg, rank=instance.rank)
     log.info("solving %s instance (n=%d, m=%d) with %s",
              instance.meta.get("kind", "file"), instance.dim,
              instance.objective.ensemble.m, algorithm)

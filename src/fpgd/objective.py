@@ -1,8 +1,10 @@
 """Least-squares sensing objectives f(X) = ||A(X) - y||_2^2.
 
 A measurement ensemble is a list of Hermitian operators E_i with
-observations y_i; the forward map is (A(X))_i = Re trace(E_i X), the
-adjoint is A*(z) = sum_i z_i E_i, and the gradient convention is
+observations y_i, stored as the dense (m, n, n) stack or, for rank-one
+E_i = a_i a_i^H, as the (m, n) sensing vectors.  The forward map is
+(A(X))_i = Re trace(E_i X), the adjoint is A*(z) = sum_i z_i E_i, and
+the gradient convention is
 
     grad f(X) = 2 A*(A(X) - y),
 
@@ -46,67 +48,101 @@ class MeasurementEnsemble:
 
     Parameters
     ----------
-    operators : (m, n, n) array of Hermitian matrices.
+    operators : (m, n, n) array of Hermitian matrices E_i, or (m, n) array
+        of sensing vectors a_i standing for the rank-one E_i = a_i a_i^H.
+        The rank-one form is never expanded: apply and adjoint are one
+        matrix product each on the (m, n) array.
     y : (m,) real observations.
     noise_norm : l2 norm of the additive noise used to produce ``y``
         (0 for noiseless data); carried as metadata.
     """
 
     def __init__(self, operators, y, noise_norm=0.0):
-        operators = np.asarray(operators)
+        ops = np.ascontiguousarray(operators)
         y = np.asarray(y, dtype=float)
-        if operators.ndim != 3 or operators.shape[1] != operators.shape[2]:
-            raise ValueError(f"operators must be (m, n, n), got {operators.shape}")
-        if y.shape != (operators.shape[0],):
+        if ops.ndim != 2 and (ops.ndim != 3 or ops.shape[1] != ops.shape[2]):
+            raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {ops.shape}")
+        if y.shape != (ops.shape[0],):
             raise ValueError("y length must match the number of operators")
         if noise_norm < 0:
             raise ValueError("noise_norm must be non-negative")
-        for k in range(operators.shape[0]):
-            require_hermitian(operators[k], what=f"operator {k}")
-        self.operators = operators
+        if ops.ndim == 3:  # a_i a_i^H is Hermitian by construction
+            for k in range(ops.shape[0]):
+                require_hermitian(ops[k], what=f"operator {k}")
+        self._ops = ops
         self.y = y
         self.noise_norm = float(noise_norm)
-        # A flattened view makes apply/adjoint single BLAS calls.
-        self._flat = operators.reshape(operators.shape[0], -1)
+
+    @property
+    def rank_one(self):
+        return self._ops.ndim == 2
 
     @property
     def m(self):
-        return self.operators.shape[0]
+        return self._ops.shape[0]
 
     @property
     def dim(self):
-        return self.operators.shape[1]
+        return self._ops.shape[1]
+
+    @property
+    def dtype(self):
+        return self._ops.dtype
 
     @property
     def field(self):
-        return "complex" if np.iscomplexobj(self.operators) else "real"
+        return "complex" if np.iscomplexobj(self._ops) else "real"
+
+    @property
+    def operators(self):
+        """The (m, n, n) operator stack; built on each call for rank-one
+        ensembles, so the solve path never reads it."""
+        if self.rank_one:
+            return np.einsum("mi,mj->mij", self._ops, self._ops.conj())
+        return self._ops
 
     def apply(self, x):
         """A(X): real vector of Re trace(E_i X).
 
         For Hermitian E_i, Re trace(E_i X) = Re(vec E_i . conj vec X) for
-        any X, so the operator stack is never conjugated.
+        any X, so the operator stack is never conjugated.  For E_i = a_i a_i^H
+        it is Re(a_i^H X a_i) = Re(conj(X a_i) . a_i): one matrix product for
+        the rows X a_i, then row sums formed in place, so no second m x n
+        temporary is allocated.
         """
         x = np.asarray(x)
         if x.shape != (self.dim, self.dim):
             raise ValueError(f"dimension mismatch: expected {(self.dim, self.dim)}, got {x.shape}")
-        return np.real(self._flat @ x.conj().ravel())
+        if self.rank_one:
+            a = self._ops
+            rows = a @ x.T  # row i is X a_i
+            np.conjugate(rows, out=rows)
+            rows *= a
+            return np.real(rows.sum(axis=1))
+        return np.real(self._ops.reshape(self.m, -1) @ x.conj().ravel())
 
     def adjoint(self, z):
         """A*(z) = sum_i z_i E_i; Hermitian for real z."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.m,):
             raise ValueError("adjoint input length must match m")
-        return (z @ self._flat).reshape(self.dim, self.dim)
+        if self.rank_one:
+            a = self._ops
+            w = a * z[:, None]
+            np.conjugate(w, out=w)  # in place: one m x n temporary
+            return a.T @ w  # A^T diag(z) conj(A)
+        return (z @ self._ops.reshape(self.m, -1)).reshape(self.dim, self.dim)
 
     # ---- serialization ----------------------------------------------------
 
     def to_json_dict(self):
-        """{dim, field, operators, y, noise_norm}; complex entries as [re, im]."""
+        """{dim, field, operators | vectors, y, noise_norm}; complex entries
+        as [re, im]; rank-one ensembles store their sensing vectors."""
+        key = "vectors" if self.rank_one else "operators"
         return {
             "dim": int(self.dim),
             "field": self.field,
-            "operators": [_encode_array(op) for op in self.operators],
+            key: [_encode_array(op) for op in self._ops],
             "y": _encode_array(self.y),
             "noise_norm": self.noise_norm,
         }
@@ -117,8 +153,11 @@ class MeasurementEnsemble:
         field = doc["field"]
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}")
-        raw = doc["operators"]
-        ops = _decode_array(raw, field == "complex", (len(raw), n, n))
+        if "vectors" in doc:
+            raw, shape = doc["vectors"], (n,)
+        else:
+            raw, shape = doc["operators"], (n, n)
+        ops = _decode_array(raw, field == "complex", (len(raw),) + shape)
         return cls(ops, np.array(doc["y"], dtype=float), float(doc["noise_norm"]))
 
     def save(self, path):

@@ -207,6 +207,30 @@ def _sample_distinct_paulis(q, m, rng):
     return [_int_to_pauli_string(int(v), q) for v in picks]
 
 
+def _mem_available_bytes():
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def _require_stack_fits(m, n, itemsize):
+    # Refuse a dense (m, n, n) operator stack that cannot fit in available
+    # memory, before allocating it; skipped where MemAvailable is unknown.
+    need = itemsize * m * n * n
+    available = _mem_available_bytes()
+    if available is not None and need > available:
+        raise ValueError(
+            f"dense operator stack of {m} x {n} x {n} needs {need} bytes "
+            f"(~{need / 2**30:.1f} GiB), more than the {available} bytes available"
+        )
+
+
 def _scaled_noise(rng, m, noise_norm):
     if noise_norm == 0.0:
         return np.zeros(m)
@@ -255,6 +279,7 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     m = int(round(c_sam * r * n * np.log(n)))
     if m < 1:
         raise ValueError("c_sam too small: no measurements")
+    _require_stack_fits(m, n, np.dtype(complex).itemsize)
     rng = np.random.default_rng(seed)
     strings = _sample_distinct_paulis(q, m, rng)
     scale = n**1.5 / np.sqrt(m)
@@ -277,7 +302,8 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
     """Sparse phase retrieval: rank-1 lifted recovery of a k-sparse
     complex vector from quadratic measurements y_i = |<a_i, x*>|^2.
 
-    Operators are Phi_i = a_i a_i^H with complex Gaussian a_i; the
+    Operators are Phi_i = a_i a_i^H with complex Gaussian a_i, kept as the
+    (m, n) sensing vectors (the m x n x n stack is never built); the
     factored constraint is the (unfaithful) entrywise l1 ball of radius
     ``lam``, default 1.2 * ||x*||_1.
     """
@@ -292,11 +318,10 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
     x /= np.linalg.norm(x)
 
     a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
-    ops = np.einsum("mi,mj->mij", a, a.conj())
     if lam is None:
         lam = 1.2 * float(np.abs(x).sum())
     return _observed_instance(
-        ops, x[:, None], rng, noise_norm, l1_ball(lam), seed,
+        a, x[:, None], rng, noise_norm, l1_ball(lam), seed,
         meta={"kind": "phase_retrieval", "sparsity": sparsity},
     )
 
@@ -315,6 +340,7 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
         raise ValueError("rank must not exceed n")
     if m < 1:
         raise ValueError("need at least one measurement")
+    _require_stack_fits(m, n, np.dtype(float).itemsize)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, n, n))
     ops = (g + np.transpose(g, (0, 2, 1))) / (2.0 * np.sqrt(m))

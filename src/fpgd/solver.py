@@ -93,7 +93,7 @@ def _init(obj, constraint, r):
     # X_0 = (1/L_hat) Pi_+(-grad f(0)) and the projected top-r factor U_0 of it;
     # the fixed step is taken at this X_0, not at U_0 U_0^H.
     n = obj.dim
-    zero = np.zeros((n, n), dtype=obj.ensemble.operators.dtype)
+    zero = np.zeros((n, n), dtype=obj.ensemble.dtype)
     x0 = psd_project(-obj.grad(zero)) / obj.smoothness()
     u0, _ = constraint.project(factor_from_psd(x0, r))
     return x0, u0

@@ -63,6 +63,17 @@ def test_invalid_solver_block_exits_64(tmp_path, bad):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
+def test_solve_checks_solver_block_before_generating(tmp_path, monkeypatch):
+    def no_generation(**_):
+        raise AssertionError("instance generated before the solver block was checked")
+
+    monkeypatch.setattr("fpgd.cli.gen_qst", no_generation)
+    doc = dict(QST_SOLVE_CONFIG, solver=dict(QST_SOLVE_CONFIG["solver"], step_mode="bogus"))
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
 def test_missing_config_exits_64(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
 

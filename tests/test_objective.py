@@ -1,5 +1,7 @@
 """Sensing objective: values, gradients, constants, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -217,9 +219,33 @@ def test_ensemble_json_roundtrip(tmp_path, complex_field):
     assert back.noise_norm == ens.noise_norm
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_rank_one_json_roundtrip_is_bit_exact(tmp_path, complex_field):
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((6, 4))
+    if complex_field:
+        a = a + 1j * rng.standard_normal((6, 4))
+    ens = MeasurementEnsemble(a, rng.standard_normal(6), 1e-3)
+    path = tmp_path / "ensemble.json"
+    ens.save(path)
+    doc = json.loads(path.read_text())
+    assert "vectors" in doc and "operators" not in doc
+    back = MeasurementEnsemble.load(path)
+    assert back.rank_one and back.field == ens.field
+    assert np.array_equal(back.operators, ens.operators)
+    x = random_hermitian(rng, 4, complex_field)
+    z = rng.standard_normal(6)
+    assert np.array_equal(back.apply(x), ens.apply(x))
+    assert np.array_equal(back.adjoint(z), ens.adjoint(z))
+
+
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         MeasurementEnsemble(np.zeros((2, 3, 4)), np.zeros(2), 0.0)
+    with pytest.raises(ValueError):
+        MeasurementEnsemble(np.zeros(3), np.zeros(3), 0.0)
+    with pytest.raises(ValueError):
+        MeasurementEnsemble(np.zeros((2, 3)), np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         MeasurementEnsemble(np.zeros((2, 3, 3)), np.zeros(3), 0.0)
     nonherm = np.zeros((1, 2, 2))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fpgd import problems
 from fpgd.linalg import factor_from_psd
 from fpgd.objective import MeasurementEnsemble, Objective
 from fpgd.problems import (
@@ -195,6 +196,19 @@ def test_phase_retrieval_instance_structure():
     assert inst.objective.value(inst.truth_x) <= (1e-3) ** 2 * (1 + 1e-9)
 
 
+def test_phase_retrieval_keeps_sensing_vectors():
+    inst = gen_phase_retrieval(n=12, sparsity=2, m=40, noise_norm=0.0, seed=3)
+    ens = inst.objective.ensemble
+    assert ens.rank_one
+    assert (ens.m, ens.dim, ens.field, ens.dtype) == (40, 12, "complex", np.dtype(complex))
+    # y_i = |<a_i, x*>|^2 through the materialized operator stack
+    stack = ens.operators
+    assert stack.shape == (40, 12, 12)
+    x = inst.truth_x
+    naive = np.array([np.real(np.trace(stack[k] @ x)) for k in range(40)])
+    assert np.allclose(ens.y, naive, rtol=1e-12, atol=0.0)
+
+
 def test_phase_retrieval_rejects_bad_args():
     with pytest.raises(ValueError):
         gen_phase_retrieval(n=4, sparsity=5, m=8)
@@ -283,3 +297,42 @@ def test_instance_roundtrip(tmp_path, kind):
     assert back.constraint == inst.constraint
     x = inst.truth_x
     assert back.objective.value(x) == inst.objective.value(x)
+
+
+# ---------------------------------------------------------------------------
+# Memory guard: sizes are computed, never allocated
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def eight_gib_available(monkeypatch):
+    monkeypatch.setattr(problems, "_mem_available_bytes", lambda: 8 * 2**30)
+
+
+def test_qst_refuses_stack_beyond_available_memory(eight_gib_available):
+    # q=12: m = round(3 * 4096 * ln 4096) Pauli operators of 4096^2 complex entries
+    m = int(round(3.0 * 4096 * np.log(4096)))
+    need = 16 * m * 4096**2
+    assert need > 20 * 2**40  # ~27 TB
+    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+        gen_qst(q=12, r=1, c_sam=3.0, seed=0)
+
+
+def test_synthetic_refuses_stack_beyond_available_memory(eight_gib_available):
+    need = 8 * 100_000 * 1024**2
+    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+        gen_synthetic(n=1024, r=1, m=100_000, seed=0)
+
+
+def test_memory_guard_passes_fitting_and_unknown_sizes(monkeypatch):
+    monkeypatch.setattr(problems, "_mem_available_bytes", lambda: 16 * 50 * 8**2)
+    problems._require_stack_fits(50, 8, 16)  # exactly fits
+    with pytest.raises(ValueError):
+        problems._require_stack_fits(51, 8, 16)
+    monkeypatch.setattr(problems, "_mem_available_bytes", lambda: None)
+    problems._require_stack_fits(10**9, 4096, 16)  # unknown budget: no check
+
+
+def test_mem_available_bytes_reads_meminfo_or_none():
+    available = problems._mem_available_bytes()
+    assert available is None or (isinstance(available, int) and available > 0)

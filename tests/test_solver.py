@@ -11,6 +11,7 @@ from fpgd.objective import MeasurementEnsemble, Objective
 from fpgd.problems import (
     ProblemInstance,
     frobenius_ball,
+    gen_phase_retrieval,
     gen_qst,
     gen_synthetic,
     unconstrained,
@@ -205,6 +206,29 @@ def test_zero_observations_converge_without_a_step(solve, step_mode):
     assert trace.n_iters == 0
     assert np.isnan(trace.step_eta)
     assert np.array_equal(u, np.zeros((6, 2)))
+
+
+def test_rank_one_solve_matches_dense_twin(tmp_path):
+    # The sensing-vector form and its materialized (m, n, n) stack run the
+    # same iteration: same status and count, every trace column within 1e-9.
+    inst = gen_phase_retrieval(n=16, sparsity=2, m=96, noise_norm=0.0, seed=2)
+    ens = inst.objective.ensemble
+    twin = dataclasses.replace(
+        inst, objective=Objective(MeasurementEnsemble(ens.operators, ens.y, ens.noise_norm))
+    )
+    assert ens.rank_one and not twin.objective.ensemble.rank_one
+    cfg = SolverConfig(rank=1, max_iters=3000, step_size_constant=0.5, record_truth_dist=True)
+    _, fast = projfgd_solve(inst, cfg)
+    _, dense = projfgd_solve(twin, cfg)
+    assert fast.status == dense.status == "converged"
+    assert fast.n_iters == dense.n_iters
+    for column in ("objective", "rel_change", "xi", "dist", "grad_norm"):
+        assert np.allclose(getattr(fast, column), getattr(dense, column), rtol=1e-9, atol=0.0), column
+    assert fast.step_eta == pytest.approx(dense.step_eta, rel=1e-9)
+    _, again = projfgd_solve(inst, cfg)
+    write_trace_csv(fast, tmp_path / "a.csv")
+    write_trace_csv(again, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_adaptive_step_mode_converges():
