@@ -115,12 +115,11 @@ def descent_lemma_margin(instance, u, mu_hat=None, l_hat=None):
     if mu_hat is None:
         mu_hat = obj.strong_convexity(instance.rank)
     u = np.asarray(u)
-    x = u @ u.conj().T
-    grad_x = obj.grad(x)
-    eta = _adaptive_step(l_hat, u, x, grad_x, PROJFGD_STEP_CONSTANT)
+    ens = obj.ensemble
+    z = 2.0 * (ens.apply_factored(u) - ens.y)
+    eta, gu = _adaptive_step(ens, l_hat, u, z, PROJFGD_STEP_CONSTANT)
     if eta is None:
         raise ValueError("zero step denominator")
-    gu = grad_x @ u
     u_tilde = u - eta * gu
     u_next, _ = instance.constraint.project(u_tilde)
     dist, rot = procrustes_align(u, instance.truth_factor)

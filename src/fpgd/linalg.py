@@ -17,6 +17,8 @@ __all__ = [
     "require_hermitian",
     "trace_inner",
     "spectral_norm",
+    "gram_norm",
+    "gram_diff_norm",
     "hermitian_eig_top_r",
     "psd_project",
     "factor_from_psd",
@@ -69,6 +71,27 @@ def spectral_norm(m):
     if m.ndim == 2 and m.shape[0] == m.shape[1] and is_hermitian(m, tol=1e-10):
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     return float(np.linalg.norm(m, 2))
+
+
+def gram_norm(u):
+    """||U U^H||_2 = sigma_max(U)^2, without forming U U^H."""
+    return float(np.linalg.norm(u, 2)) ** 2
+
+
+def gram_diff_norm(u1, u0):
+    """||U1 U1^H - U0 U0^H||_2 for (n, r) factors, without an n x n matrix.
+
+    With D = U1 - U0 and S = U1 + U0 the difference is (D S^H + S D^H) / 2,
+    which has no cancellation when U1 is close to U0.  A thin QR
+    [D S] = Q [R_D R_S] reduces it to the eigenvalues of the Hermitian
+    core (R_D R_S^H + R_S R_D^H) / 2 of size at most 2r x 2r.
+    """
+    d = u1 - u0
+    s = u1 + u0
+    r = np.linalg.qr(np.hstack([d, s]), mode="r")
+    k = d.shape[1]
+    core = r[:, :k] @ r[:, k:].conj().T
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (core + core.conj().T)))))
 
 
 def _fix_vector_phases(vectors):

@@ -8,8 +8,16 @@ the gradient convention is
 
     grad f(X) = 2 A*(A(X) - y),
 
-i.e. the residual factor 2 lives inside ``grad``; the factored-space
-update uses grad(X) @ U directly.
+i.e. the residual factor 2 lives inside ``grad``.
+
+The solver's iteration touches the operator only through two factored
+primitives of ``MeasurementEnsemble``:
+
+    apply_factored(U)   = A(U U^H)
+    adjoint_times(z, V) = A*(z) @ V
+
+For rank-one ensembles both cost O(m n r) and never form an n x n
+matrix; for dense stacks they go through ``apply`` and ``adjoint``.
 """
 
 import json
@@ -133,6 +141,44 @@ class MeasurementEnsemble:
             return a.T @ w  # A^T diag(z) conj(A)
         return (z @ self._ops.reshape(self.m, -1)).reshape(self.dim, self.dim)
 
+    def apply_factored(self, u):
+        """A(U U^H) for an (n, r) factor U.
+
+        Rank-one: (A(U U^H))_i = ||a_i^H U||^2, the row sums of
+        |A conj(U)|^2, with one m x r temporary.  Dense: ``apply`` on the
+        Hermitian part of U U^H.
+        """
+        u = self._check_factor(u)
+        if self.rank_one:
+            w = self._ops @ u.conj()  # row i is conj(a_i^H U)
+            return np.real(w * w.conj()).sum(axis=1)
+        x = u @ u.conj().T
+        return self.apply(0.5 * (x + x.conj().T))
+
+    def adjoint_times(self, z, v):
+        """A*(z) @ V for an (n, r) matrix V.
+
+        Rank-one: sum_i z_i a_i (a_i^H V) = A^T (z . conj(A conj(V))), with
+        one m x r temporary.  Dense: ``adjoint(z) @ V``.
+        """
+        v = self._check_factor(v)
+        if not self.rank_one:
+            return self.adjoint(z) @ v
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.m,):
+            raise ValueError("adjoint input length must match m")
+        a = self._ops
+        w = a @ v.conj()  # row i is conj(a_i^H V)
+        w *= z[:, None]
+        np.conjugate(w, out=w)
+        return a.T @ w
+
+    def _check_factor(self, u):
+        u = np.asarray(u)
+        if u.ndim != 2 or u.shape[0] != self.dim:
+            raise ValueError(f"factor must be ({self.dim}, r), got {u.shape}")
+        return u
+
     # ---- serialization ----------------------------------------------------
 
     def to_json_dict(self):
@@ -200,16 +246,11 @@ class Objective:
         """Matrix gradient 2 sum_i (Re trace(E_i X) - y_i) E_i; Hermitian."""
         return self.ensemble.adjoint(2.0 * self.residual(x))
 
-    def grad_from_residual(self, r):
-        # Shared-residual path for solvers that already computed A(X) - y.
-        return self.ensemble.adjoint(2.0 * r)
-
     def factored_grad(self, u):
-        """grad(U U^H) @ U (the residual factor 2 lives in grad)."""
-        u = np.asarray(u)
-        if u.ndim != 2 or u.shape[0] != self.dim:
-            raise ValueError(f"factor must be ({self.dim}, r), got {u.shape}")
-        return self.grad(u @ u.conj().T) @ u
+        """grad(U U^H) @ U = 2 A*(A(U U^H) - y) @ U, without forming U U^H
+        for rank-one ensembles."""
+        ens = self.ensemble
+        return ens.adjoint_times(2.0 * (ens.apply_factored(u) - ens.y), u)
 
     def smoothness(self):
         """L_hat = 2 lambda_max of the Gram form of A, by power iteration.

@@ -10,6 +10,10 @@ iteration as C / (L_hat ||X_t||_2 + ||Q_U Q_U^H grad f(X_t)||_2)
 ("adaptive_per_iter", the step object the convergence analysis uses).
 Stopping is the spectral-norm criterion
 ||X_{t+1} - X_t||_2 / ||X_{t+1}||_2 <= tol.
+
+The loop never forms X = U U^H: it reads the operator through
+``apply_factored``/``adjoint_times`` and takes both stopping norms in
+factor space (sigma_max(U)^2 and a 2r x 2r core).
 """
 
 import json
@@ -19,7 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import factor_from_psd, procrustes_dist, psd_project, spectral_norm
+from .linalg import (
+    factor_from_psd,
+    gram_diff_norm,
+    gram_norm,
+    procrustes_dist,
+    psd_project,
+    spectral_norm,
+)
 from .problems import unconstrained
 
 __all__ = [
@@ -123,24 +134,26 @@ def step_size(obj, x0, constant=PROJFGD_STEP_CONSTANT):
     return eta
 
 
-def _column_space_grad_norm(u, grad_x):
-    # ||Q_U Q_U^H grad||_2 via an orthonormal basis of span(U); SVD-based
-    # so rank-deficient (or zero) factors are handled.
+def _adaptive_step(ens, l_hat, u, z, constant):
+    """Per-iteration step C / (L_hat ||U U^H||_2 + ||A*(z) Q_U||_2) with
+    z = 2(A(U U^H) - y) and Q_U an orthonormal basis of span(U).
+
+    Returns (step, A*(z) U) from one ``adjoint_times`` call; the step is
+    None when both terms vanish.  ||A*(z) Q_U||_2 = ||Q_U Q_U^H grad f||_2
+    for the Hermitian gradient; the SVD-based basis handles rank-deficient
+    (or zero) factors.
+    """
+    r = u.shape[1]
     q = scipy.linalg.orth(u)
-    if q.size == 0:
-        return 0.0
-    return float(np.linalg.norm(q.conj().T @ grad_x, 2))
-
-
-def _adaptive_step(l_hat, u, x, grad_x, constant):
-    """Per-iteration step C / (L_hat ||X||_2 + ||Q_U Q_U^H grad f(X)||_2)
-    at X = U U^H; None when both terms vanish."""
-    denom = l_hat * spectral_norm(x) + _column_space_grad_norm(u, grad_x)
-    return constant / denom if denom != 0.0 else None
+    g = ens.adjoint_times(z, np.hstack([u, q]))
+    column_norm = float(np.linalg.norm(g[:, r:], 2)) if q.size else 0.0
+    denom = l_hat * gram_norm(u) + column_norm
+    return (constant / denom if denom != 0.0 else None), g[:, :r]
 
 
 def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
     obj = instance.objective
+    ens = obj.ensemble
     constant = cfg.step_size_constant if cfg.step_size_constant is not None else default_constant
     l_hat = obj.smoothness()
     t0 = time.perf_counter()
@@ -152,9 +165,7 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
         x_ref = u @ u.conj().T
 
     trace = SolveTrace()
-    x = u @ u.conj().T
-    x = 0.5 * (x + x.conj().T)
-    res = obj.residual(x)
+    res = ens.apply_factored(u) - ens.y
     f0 = float(res @ res)
     trace.initial_objective = f0
     if not np.isfinite(f0):
@@ -163,7 +174,7 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
         return u, trace
     if cfg.record_truth_dist:
         trace.initial_dist = procrustes_dist(u, instance.truth_factor)
-    blowup = 1e6 * (f0 + 1e-12 * (1.0 + float(instance.objective.ensemble.y @ instance.objective.ensemble.y)))
+    blowup = 1e6 * (f0 + 1e-12 * (1.0 + float(ens.y @ ens.y)))
 
     eta = None
     if cfg.step_mode == "fixed_from_init":
@@ -175,27 +186,26 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
         trace.step_eta = eta
 
     for t in range(1, cfg.max_iters + 1):
-        grad_x = obj.grad_from_residual(res)
+        z = 2.0 * res
         if cfg.step_mode == "adaptive_per_iter":
-            eta = _adaptive_step(l_hat, u, x, grad_x, constant)
+            eta, gu = _adaptive_step(ens, l_hat, u, z, constant)
             if eta is None:
                 trace.status = "converged"
                 break
             if np.isnan(trace.step_eta):
                 trace.step_eta = eta
-        gu = grad_x @ u
+        else:
+            gu = ens.adjoint_times(z, u)
         grad_norm = float(np.linalg.norm(gu))
         u_next, xi = constraint.project(u - eta * gu)
-        x_next = u_next @ u_next.conj().T
-        x_next = 0.5 * (x_next + x_next.conj().T)
 
-        res = obj.residual(x_next)
+        res = ens.apply_factored(u_next) - ens.y
         f_val = float(res @ res)
         if not np.isfinite(f_val):
-            rel_change = float("inf")  # skip spectral norms of a blown-up iterate
+            rel_change = float("inf")  # skip the norms of a blown-up iterate
         else:
-            denom_norm = spectral_norm(x_next)
-            diff_norm = spectral_norm(x_next - x)
+            denom_norm = gram_norm(u_next)
+            diff_norm = gram_diff_norm(u_next, u)
             if denom_norm == 0.0:
                 rel_change = 0.0 if diff_norm == 0.0 else float("inf")
             else:
@@ -224,7 +234,7 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
                 }
             )
 
-        u, x = u_next, x_next
+        u = u_next
         if not np.isfinite(f_val) or f_val > blowup:
             trace.status = "diverged"
             break

@@ -2,11 +2,23 @@
 
 These deliberately avoid the code paths of the package: the Jacobi
 eigensolver is hand-rolled (no LAPACK), the O(2) alignment search is a
-dense angle grid, and the l1 projection is a coarse-to-fine grid search
-over the simplex face.
+dense angle grid, the l1 projection is a coarse-to-fine grid search
+over the simplex face, and the ProjFGD reference loop forms every
+n x n iterate X = U U^H.
 """
 
 import numpy as np
+import scipy.linalg
+
+from fpgd.linalg import procrustes_dist
+from fpgd.problems import unconstrained
+from fpgd.solver import (
+    FGD_STEP_CONSTANT,
+    PROJFGD_STEP_CONSTANT,
+    SolveTrace,
+    _fixed_step,
+    _init,
+)
 
 
 def jacobi_eigh(a, sweeps=60, tol=1e-14):
@@ -101,3 +113,85 @@ def grid_l1_project(v, lam, rounds=6):
     return np.sign(v) * out
 
 
+
+
+def _dense_spectral_norm(x):
+    return float(np.max(np.abs(np.linalg.eigvalsh(x))))
+
+
+def dense_projfgd_reference(instance, cfg, fgd=False):
+    """The ProjFGD (or, with ``fgd``, unconstrained FGD) iteration on dense
+    n x n iterates: X = U U^H formed each step, ``apply``/``adjoint`` on X,
+    the adaptive step from ||Q_U^H grad f(X)||_2, and both stopping norms
+    from full ``eigvalsh``.  Same initialization, fixed step and trace as
+    the solver.  Returns (factor, SolveTrace); meant for n <= 64."""
+    obj = instance.objective
+    ens = obj.ensemble
+    constraint = unconstrained() if fgd else instance.constraint
+    default = FGD_STEP_CONSTANT if fgd else PROJFGD_STEP_CONSTANT
+    constant = cfg.step_size_constant if cfg.step_size_constant is not None else default
+    l_hat = obj.smoothness()
+    x_ref, u = _init(obj, constraint, cfg.rank)
+
+    def gram(v):
+        x = v @ v.conj().T
+        return 0.5 * (x + x.conj().T)
+
+    trace = SolveTrace()
+    x = gram(u)
+    res = ens.apply(x) - ens.y
+    trace.initial_objective = float(res @ res)
+    if cfg.record_truth_dist:
+        trace.initial_dist = procrustes_dist(u, instance.truth_factor)
+    blowup = 1e6 * (trace.initial_objective + 1e-12 * (1.0 + float(ens.y @ ens.y)))
+    eta = None
+    if cfg.step_mode == "fixed_from_init":
+        eta = _fixed_step(obj, x_ref, constant)
+        if eta is None:
+            trace.status = "converged"
+            return u, trace
+        trace.step_eta = eta
+
+    trace.status = "max_iters"
+    for t in range(1, cfg.max_iters + 1):
+        grad_x = ens.adjoint(2.0 * res)
+        if cfg.step_mode == "adaptive_per_iter":
+            q = scipy.linalg.orth(u)
+            column_norm = float(np.linalg.norm(q.conj().T @ grad_x, 2)) if q.size else 0.0
+            denom = l_hat * _dense_spectral_norm(x) + column_norm
+            if denom == 0.0:
+                trace.status = "converged"
+                break
+            eta = constant / denom
+            if np.isnan(trace.step_eta):
+                trace.step_eta = eta
+        gu = grad_x @ u
+        u_next, xi = constraint.project(u - eta * gu)
+        x_next = gram(u_next)
+        res = ens.apply(x_next) - ens.y
+        f_val = float(res @ res)
+        if not np.isfinite(f_val):
+            rel_change = float("inf")
+        else:
+            denom_norm = _dense_spectral_norm(x_next)
+            diff_norm = _dense_spectral_norm(x_next - x)
+            if denom_norm == 0.0:
+                rel_change = 0.0 if diff_norm == 0.0 else float("inf")
+            else:
+                rel_change = diff_norm / denom_norm
+        trace.iters.append(t)
+        trace.objective.append(f_val)
+        trace.rel_change.append(rel_change)
+        trace.xi.append(xi)
+        trace.dist.append(
+            procrustes_dist(u_next, instance.truth_factor) if cfg.record_truth_dist else float("nan")
+        )
+        trace.grad_norm.append(float(np.linalg.norm(gu)))
+        u, x = u_next, x_next
+        if not np.isfinite(f_val) or f_val > blowup:
+            trace.status = "diverged"
+            break
+        if rel_change <= cfg.tol:
+            trace.status = "converged"
+            break
+    return u, trace

@@ -13,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpgd.cli import EXIT_OK, main
@@ -82,11 +83,49 @@ ALL_CASES = [("solve", name, doc) for name, doc in SOLVE_CASES.items()] + [
 ]
 
 
+def _relative_gap(new, old):
+    if new == old:
+        return 0.0
+    if "" in (new, old):
+        return float("inf")
+    a, b = float(new), float(old)
+    gap = abs(a - b) / max(abs(a), abs(b))
+    return gap if np.isfinite(gap) else float("inf")
+
+
+def describe_difference(file_name, data, golden):
+    """What a failed byte comparison changed: for a trace, both iteration
+    counts and the worst relative difference per column; for a summary,
+    the keys whose values differ."""
+    if file_name == "summary.json":
+        new, old = json.loads(data), json.loads(golden)
+        return "; ".join(
+            f"{key} {new.get(key)!r} vs golden {old.get(key)!r}"
+            for key in sorted(set(new) | set(old))
+            if new.get(key) != old.get(key)
+        )
+    if file_name != "trace.csv":
+        return "bytes differ"
+    header, *new_rows = [line.split(",") for line in data.decode().splitlines()]
+    old_rows = [line.split(",") for line in golden.decode().splitlines()[1:]]
+    worst = ", ".join(
+        f"{column} {max((_relative_gap(a[k], b[k]) for a, b in zip(new_rows, old_rows)), default=0.0):.3g}"
+        for k, column in enumerate(header[1:], start=1)
+    )
+    return (
+        f"iterations {len(new_rows)} vs golden {len(old_rows)}; "
+        f"worst relative difference per column: {worst}"
+    )
+
+
 @pytest.mark.parametrize("command,name,doc", ALL_CASES, ids=[c[1] for c in ALL_CASES])
 def test_outputs_match_golden_files(command, name, doc, tmp_path):
     outputs = run_case(command, doc, tmp_path)
     for file_name, data in outputs.items():
-        assert data == (GOLDEN / name / file_name).read_bytes(), f"{name}/{file_name} differs"
+        golden = (GOLDEN / name / file_name).read_bytes()
+        assert data == golden, (
+            f"{name}/{file_name} differs: {describe_difference(file_name, data, golden)}"
+        )
 
 
 def write_fixtures(root):

@@ -3,14 +3,16 @@
 Random small ensembles, dense (real or complex Hermitian stacks) and
 rank-one (sensing vectors a_i for E_i = a_i a_i^H), drawn from a seed
 that hypothesis chooses.  The dense twin ``MeasurementEnsemble(ens.operators, y)``
-is the oracle for the rank-one form.
+is the oracle for the rank-one form, and the n x n ``apply``/``adjoint``
+and ``spectral_norm`` are the oracles for the factor-space primitives and
+stopping norms.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpgd.linalg import is_hermitian, trace_inner
+from fpgd.linalg import gram_diff_norm, gram_norm, is_hermitian, spectral_norm, trace_inner
 from fpgd.objective import MeasurementEnsemble
 
 REL = 1e-12
@@ -85,3 +87,55 @@ def test_rank_one_matches_dense_twin(spec):
     assert np.max(np.abs(ens.apply(x) - twin.apply(x))) <= REL * apply_scale
     assert np.max(np.abs(ens.adjoint(z) - twin.adjoint(z))) <= REL * weight(ens, z)
     assert np.array_equal(ens.operators, stack)  # apply/adjoint leave the vectors alone
+
+
+@PROPERTY_SETTINGS
+@given(ensembles, st.integers(1, 3))
+def test_factored_primitives_match_dense_calls(spec, r):
+    # apply_factored(U) = apply(U U^H) and adjoint_times(z, V) = adjoint(z) V,
+    # including 2r > n; neither call changes the stored operators.
+    ens, rng = build(spec)
+    stored = ens.operators.copy()
+    u = _draw(rng, (ens.dim, r), spec[1])
+    v = _draw(rng, (ens.dim, r), spec[1])
+    z = rng.standard_normal(ens.m)
+    x = u @ u.conj().T
+    apply_scale = weight(ens, np.ones(ens.m)) * np.linalg.norm(x)
+    assert np.max(np.abs(ens.apply_factored(u) - ens.apply(x))) <= REL * apply_scale
+    gap = np.max(np.abs(ens.adjoint_times(z, v) - ens.adjoint(z) @ v))
+    assert gap <= REL * weight(ens, z) * np.linalg.norm(v)
+    assert np.array_equal(ens.operators, stored)
+
+
+factor_pairs = st.tuples(
+    st.sampled_from(["random", "near", "rank_deficient", "zero_old", "zero_both"]),
+    st.booleans(),  # complex field
+    st.integers(1, 6),  # n
+    st.integers(1, 3),  # r
+    st.integers(0, 2**32 - 1),  # data seed
+)
+
+
+@PROPERTY_SETTINGS
+@given(factor_pairs)
+def test_factor_space_norms_match_dense(spec):
+    # ||U1 U1^H - U0 U0^H||_2 and ||U1 U1^H||_2 without an n x n matrix
+    # agree with spectral_norm of the dense matrices.
+    kind, complex_field, n, r, seed = spec
+    rng = np.random.default_rng(seed)
+    u0 = _draw(rng, (n, r), complex_field)
+    u1 = _draw(rng, (n, r), complex_field)
+    if kind == "near":
+        u1 = u0 + 1e-6 * u1
+    elif kind == "rank_deficient":
+        u0[:, -1] = 0.0
+        u1[:, 0] = 0.5 * u1[:, -1]
+    elif kind == "zero_old":
+        u0[:] = 0.0
+    elif kind == "zero_both":
+        u0[:] = 0.0
+        u1[:] = 0.0
+    x0, x1 = u0 @ u0.conj().T, u1 @ u1.conj().T
+    scale = max(spectral_norm(x1), spectral_norm(x0))
+    assert abs(gram_diff_norm(u1, u0) - spectral_norm(x1 - x0)) <= REL * scale
+    assert abs(gram_norm(u1) - spectral_norm(x1)) <= REL * scale

@@ -5,7 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from oracles import dense_projfgd_reference
+from test_golden import SOLVE_CASES
 
+from fpgd.cli import build_instance, build_solver_config
 from fpgd.linalg import procrustes_dist, spectral_norm
 from fpgd.objective import MeasurementEnsemble, Objective
 from fpgd.problems import (
@@ -229,6 +232,53 @@ def test_rank_one_solve_matches_dense_twin(tmp_path):
     write_trace_csv(fast, tmp_path / "a.csv")
     write_trace_csv(again, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_factored_loop_matches_dense_reference(name):
+    # The factor-space loop against the n x n loop it replaced, on the
+    # golden solve cases: same status and count, every column within 1e-9.
+    doc = SOLVE_CASES[name]
+    inst = build_instance(doc["problem"], doc["seed"])
+    cfg, algorithm = build_solver_config(doc["solver"], rank=inst.rank)
+    solve = fgd_solve if algorithm == "fgd" else projfgd_solve
+    u, trace = solve(inst, cfg)
+    u_ref, ref = dense_projfgd_reference(inst, cfg, fgd=algorithm == "fgd")
+    assert trace.status == ref.status == "converged"
+    assert trace.n_iters == ref.n_iters
+    for column in ("objective", "rel_change", "xi", "dist", "grad_norm"):
+        assert np.allclose(
+            getattr(trace, column), getattr(ref, column), rtol=1e-9, atol=0.0, equal_nan=True
+        ), column
+    assert trace.initial_objective == pytest.approx(ref.initial_objective, rel=1e-9)
+    assert trace.step_eta == pytest.approx(ref.step_eta, rel=1e-9)
+    assert np.allclose(u, u_ref, rtol=1e-9, atol=1e-9 * np.linalg.norm(u_ref))
+
+
+def test_rank_one_loop_makes_no_n_by_n_operator_call(monkeypatch):
+    # apply/adjoint on n x n matrices happen only in the one-off steps
+    # (L_hat, initialization, fixed step), so their count does not grow
+    # with the number of iterations.
+    calls = {"apply": 0, "adjoint": 0}
+    for method in calls:
+        original = getattr(MeasurementEnsemble, method)
+
+        def counted(self, arg, _original=original, _method=method):
+            calls[_method] += 1
+            return _original(self, arg)
+
+        monkeypatch.setattr(MeasurementEnsemble, method, counted)
+
+    counts = []
+    for max_iters in (5, 50):
+        for key in calls:
+            calls[key] = 0
+        inst = gen_phase_retrieval(n=16, sparsity=2, m=96, noise_norm=0.0, seed=2)
+        _, trace = projfgd_solve(inst, SolverConfig(rank=1, max_iters=max_iters, step_size_constant=0.5))
+        assert trace.n_iters == max_iters
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["apply"] > 0 and counts[0]["adjoint"] > 0
 
 
 def test_adaptive_step_mode_converges():
