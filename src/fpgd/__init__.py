@@ -14,7 +14,7 @@ from .linalg import (
     spectral_norm,
     trace_inner,
 )
-from .objective import MeasurementEnsemble, Objective, empirical_rip
+from .objective import DenseStack, MeasurementEnsemble, Objective, RankOne, empirical_rip
 from .problems import (
     ConstraintSet,
     ProblemInstance,

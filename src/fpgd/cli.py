@@ -12,6 +12,7 @@ FPGD_LOG (error | info | debug).
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -73,43 +74,74 @@ def write_config(doc, path):
         fh.write(canonical_config_bytes(doc))
 
 
-def _require(doc, key, where):
-    if key not in doc:
+_REQUIRED = object()
+
+
+def _require(doc, key, where, convert=None, default=_REQUIRED):
+    """``doc[key]`` (or ``default`` where allowed), passed through ``convert``;
+    a missing key or a value ``convert`` rejects is a ConfigError."""
+    if key not in doc and default is _REQUIRED:
         raise ConfigError(f"missing key {key!r} in {where}")
-    return doc[key]
+    value = doc.get(key, default)
+    try:
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key!r} in {where}: {value!r}") from exc
+
+
+def _object(value):
+    if not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return value
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _seed_and_out(args, doc):
+    # --seed and --out override the config's "seed" and "out" (created).
+    seed = args.seed if args.seed is not None else _require(doc, "seed", "config", int, 0)
+    out = Path(args.out) if args.out else _require(doc, "out", "config", Path, ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return seed, out
 
 
 def build_instance(problem, seed):
-    kind = _require(problem, "kind", "problem")
+    # Parsing errors are ConfigErrors; the generators' own errors pass through.
+    def get(key, convert, default=_REQUIRED):
+        return _require(problem, key, "problem", convert, default)
+
+    kind = get("kind", None)
     if kind == "qst":
         return gen_qst(
-            q=int(_require(problem, "q", "problem")),
-            r=int(_require(problem, "r", "problem")),
-            c_sam=float(_require(problem, "c_sam", "problem")),
-            noise_norm=float(problem.get("noise", 1e-3)),
+            q=get("q", int),
+            r=get("r", int),
+            c_sam=get("c_sam", float),
+            noise_norm=get("noise", float, 1e-3),
             seed=seed,
         )
     if kind == "phase_retrieval":
         return gen_phase_retrieval(
-            n=int(_require(problem, "n", "problem")),
-            sparsity=int(_require(problem, "sparsity", "problem")),
-            m=int(_require(problem, "m", "problem")),
-            noise_norm=float(problem.get("noise", 0.0)),
-            lam=problem.get("lam"),
+            n=get("n", int),
+            sparsity=get("sparsity", int),
+            m=get("m", int),
+            noise_norm=get("noise", float, 0.0),
+            lam=get("lam", _optional_float, None),
             seed=seed,
         )
     if kind == "synthetic":
         return gen_synthetic(
-            n=int(_require(problem, "n", "problem")),
-            r=int(_require(problem, "r", "problem")),
-            m=int(_require(problem, "m", "problem")),
-            condition_number=float(problem.get("condition_number", 2.0)),
-            noise_norm=float(problem.get("noise", 0.0)),
+            n=get("n", int),
+            r=get("r", int),
+            m=get("m", int),
+            condition_number=get("condition_number", float, 2.0),
+            noise_norm=get("noise", float, 0.0),
             seed=seed,
         )
     if kind == "files":
-        ensemble = Path(_require(problem, "ensemble_file", "problem"))
-        companion = Path(_require(problem, "companion_file", "problem"))
+        ensemble = get("ensemble_file", Path)
+        companion = get("companion_file", Path)
         for p in (ensemble, companion):
             if not p.exists():
                 raise FileNotFoundError(f"instance file not found: {p}")
@@ -123,11 +155,7 @@ def build_solver_config(solver, rank):
             rank=rank,
             max_iters=int(solver.get("max_iters", 10000)),
             tol=float(solver.get("tol", 5e-6)),
-            step_size_constant=(
-                None
-                if solver.get("step_size_constant") is None
-                else float(solver["step_size_constant"])
-            ),
+            step_size_constant=_optional_float(solver.get("step_size_constant")),
             step_mode=solver.get("step_mode", "fixed_from_init"),
             record_truth_dist=bool(solver.get("record_truth_dist", False)),
         )
@@ -150,12 +178,10 @@ def _status_exit(status):
 
 def cmd_solve(args):
     doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    out = Path(args.out or doc.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    seed, out = _seed_and_out(args, doc)
     # A bad solver block fails before the instance is generated.
-    cfg, algorithm = build_solver_config(doc.get("solver", {}), rank=1)
-    instance = build_instance(_require(doc, "problem", "config"), seed)
+    cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}), rank=1)
+    instance = build_instance(_require(doc, "problem", "config", _object), seed)
     cfg = dataclasses.replace(cfg, rank=instance.rank)
     log.info("solving %s instance (n=%d, m=%d) with %s",
              instance.meta.get("kind", "file"), instance.dim,
@@ -180,51 +206,39 @@ def _cell_seed(root_seed, index):
 
 def _run_sweep_cell(payload):
     q, r, c_sam, seed, noise, solver_json = payload
-    solver_doc = json.loads(solver_json)
+    cell = {"q": q, "r": r, "c_sam": c_sam, "seed": seed}
     try:
         instance = gen_qst(q=q, r=r, c_sam=c_sam, noise_norm=noise, seed=seed)
-        cfg, algorithm = build_solver_config(solver_doc, rank=r)
+        cfg, algorithm = build_solver_config(json.loads(solver_json), rank=r)
         solve = projfgd_solve if algorithm == "projfgd" else fgd_solve
         u, trace = solve(instance, cfg)
         rel = relative_error(u @ u.conj().T, instance.truth_x)
-        return {
-            "q": q, "r": r, "c_sam": c_sam, "seed": seed,
-            "iters": trace.n_iters, "rel_error": rel,
-            "elapsed_ms": trace.elapsed_ms, "status": trace.status,
-        }
+        return dict(cell, iters=trace.n_iters, rel_error=rel,
+                    elapsed_ms=trace.elapsed_ms, status=trace.status)
     except Exception as exc:  # failure is recorded in-row, sweep continues
         log.error("sweep cell (q=%s, r=%s, c_sam=%s, seed=%s) failed: %s",
                   q, r, c_sam, seed, exc)
-        return {
-            "q": q, "r": r, "c_sam": c_sam, "seed": seed,
-            "iters": -1, "rel_error": float("nan"),
-            "elapsed_ms": float("nan"), "status": "error",
-        }
+        return dict(cell, iters=-1, rel_error=float("nan"), elapsed_ms=float("nan"), status="error")
 
 
 def cmd_sweep(args):
     doc = load_config(args.config)
-    root_seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    out = Path(args.out or doc.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    grid = _require(doc, "sweep", "config")
-    qs = [int(v) for v in _require(grid, "q", "sweep")]
-    rs = [int(v) for v in _require(grid, "r", "sweep")]
-    c_sams = [float(v) for v in _require(grid, "c_sam", "sweep")]
-    n_seeds = int(grid.get("seeds", 1))
-    noise = float(grid.get("noise", 1e-3))
-    solver_doc = doc.get("solver", {})
+    root_seed, out = _seed_and_out(args, doc)
+    grid = _require(doc, "sweep", "config", _object)
+    qs = _require(grid, "q", "sweep", lambda vs: [int(v) for v in vs])
+    rs = _require(grid, "r", "sweep", lambda vs: [int(v) for v in vs])
+    c_sams = _require(grid, "c_sam", "sweep", lambda vs: [float(v) for v in vs])
+    n_seeds = _require(grid, "seeds", "sweep", int, 1)
+    noise = _require(grid, "noise", "sweep", float, 1e-3)
+    solver_doc = _require(doc, "solver", "config", _object, {})
     build_solver_config(solver_doc, rank=1)  # a bad block fails before any cell runs
     solver_json = json.dumps(solver_doc)
 
-    cells = []
-    index = 0
-    for q in qs:
-        for r in rs:
-            for c_sam in c_sams:
-                for _ in range(n_seeds):
-                    cells.append((q, r, c_sam, _cell_seed(root_seed, index), noise, solver_json))
-                    index += 1
+    grid_order = itertools.product(qs, rs, c_sams, range(n_seeds))
+    cells = [
+        (q, r, c_sam, _cell_seed(root_seed, index), noise, solver_json)
+        for index, (q, r, c_sam, _) in enumerate(grid_order)
+    ]
 
     if args.jobs and args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -269,10 +283,8 @@ def cmd_verify(args):
 
 def cmd_generate(args):
     doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    out = Path(args.out or doc.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    instance = build_instance(_require(doc, "problem", "config"), seed)
+    seed, out = _seed_and_out(args, doc)
+    instance = build_instance(_require(doc, "problem", "config", _object), seed)
     ensemble_path = out / "ensemble.json"
     companion_path = out / "instance.json"
     instance.save(ensemble_path, companion_path)

@@ -8,12 +8,12 @@ scale-fragile).  Out-of-hypothesis trials are skipped and counted, never
 asserted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .linalg import procrustes_align, procrustes_dist, spectral_norm, trace_inner
-from .problems import gen_qst, gen_synthetic, unconstrained
+from .problems import frobenius_ball, gen_qst, gen_synthetic, unconstrained
 from .solver import (
     PROJFGD_STEP_CONSTANT,
     SolverConfig,
@@ -99,7 +99,7 @@ def _truth_singular_values(instance):
     return np.linalg.svd(instance.truth_factor, compute_uv=False)
 
 
-def descent_lemma_margin(instance, u, mu_hat=None, l_hat=None):
+def descent_lemma_margin(instance, u):
     """Margin of the constrained descent inequality at factor ``u``:
 
         2 eta <grad f(X) U, U - U* R> + ||U_+ - Utilde_+||_F^2
@@ -110,14 +110,10 @@ def descent_lemma_margin(instance, u, mu_hat=None, l_hat=None):
     rotation.  Returns (margin, scale, dist).
     """
     obj = instance.objective
-    if l_hat is None:
-        l_hat = obj.smoothness()
-    if mu_hat is None:
-        mu_hat = obj.strong_convexity(instance.rank)
     u = np.asarray(u)
     ens = obj.ensemble
     z = 2.0 * (ens.apply_factored(u) - ens.y)
-    eta, gu = _adaptive_step(ens, l_hat, u, z, PROJFGD_STEP_CONSTANT)
+    eta, gu = _adaptive_step(ens, obj.smoothness(), u, z, PROJFGD_STEP_CONSTANT)
     if eta is None:
         raise ValueError("zero step denominator")
     u_tilde = u - eta * gu
@@ -128,22 +124,19 @@ def descent_lemma_margin(instance, u, mu_hat=None, l_hat=None):
     lhs_inner = 2.0 * eta * trace_inner(gu, u - instance.truth_factor @ rot)
     lhs_proj = float(np.linalg.norm(u_next - u_tilde) ** 2)
     rhs_grad = eta**2 * float(np.linalg.norm(gu) ** 2)
-    rhs_dist = (3.0 * eta * mu_hat / 10.0) * sigma_r_x * dist**2
+    rhs_dist = (3.0 * eta * obj.strong_convexity(instance.rank) / 10.0) * sigma_r_x * dist**2
     margin = lhs_inner + lhs_proj - rhs_grad - rhs_dist
     scale = max(abs(lhs_inner), lhs_proj, rhs_grad, rhs_dist)
     return margin, scale, dist
 
 
-def contraction_radius(instance, c=THEOREM_RADIUS_C, mu_hat=None, l_hat=None):
+def contraction_radius(instance):
     """Contraction-region radius rho' sigma_r(U*) with
     rho' = c (mu/L) (sigma_r(X*) / sigma_1(X*)), c = 1/200."""
     obj = instance.objective
-    if l_hat is None:
-        l_hat = obj.smoothness()
-    if mu_hat is None:
-        mu_hat = obj.strong_convexity(instance.rank)
     s = _truth_singular_values(instance)
-    rho = c * (mu_hat / l_hat) * (s[instance.rank - 1] ** 2 / s[0] ** 2)
+    mu_over_l = obj.strong_convexity(instance.rank) / obj.smoothness()
+    rho = THEOREM_RADIUS_C * mu_over_l * (s[instance.rank - 1] ** 2 / s[0] ** 2)
     return float(rho * s[instance.rank - 1])
 
 
@@ -171,15 +164,14 @@ def check_descent_lemma(instance, u=None, trials=200, seed=0, radius=None):
     counted; the lemma asserts nothing there.
     """
     obj = instance.objective
-    l_hat = obj.smoothness()
-    mu_hat = obj.strong_convexity(instance.rank)
     if radius is None:
-        radius = contraction_radius(instance, mu_hat=mu_hat, l_hat=l_hat)
+        radius = contraction_radius(instance)
     center = instance.truth_factor if u is None else np.asarray(u)
     rng = np.random.default_rng(seed)
     report = LemmaReport(
         "descent_lemma",
-        context={"radius": radius, "mu_hat": mu_hat, "l_hat": l_hat, "seed": seed},
+        context={"radius": radius, "mu_hat": obj.strong_convexity(instance.rank),
+                 "l_hat": obj.smoothness(), "seed": seed},
     )
     for _ in range(trials):
         delta = rng.standard_normal(center.shape)
@@ -190,7 +182,7 @@ def check_descent_lemma(instance, u=None, trials=200, seed=0, radius=None):
         if procrustes_dist(point, instance.truth_factor) > radius:
             report.skipped += 1
             continue
-        margin, scale, _ = descent_lemma_margin(instance, point, mu_hat=mu_hat, l_hat=l_hat)
+        margin, scale, _ = descent_lemma_margin(instance, point)
         report.record(margin, scale)
     return report
 
@@ -241,19 +233,14 @@ def fit_contraction(trace, radius=None, abs_tol=MARGIN_ABS_TOL):
     return float(worst)
 
 
-def contraction_alpha(instance, constant=PROJFGD_ALPHA_CONSTANT, mu_hat=None, l_hat=None):
+def contraction_alpha(instance, constant=PROJFGD_ALPHA_CONSTANT):
     """alpha = 1 - mu sigma_r(X*) / (constant (L ||X*||_2 + ||grad f(X*)||_2));
     constant 550 for the projected solver, 64 for the unconstrained one."""
     obj = instance.objective
-    if l_hat is None:
-        l_hat = obj.smoothness()
-    if mu_hat is None:
-        mu_hat = obj.strong_convexity(instance.rank)
+    x_star = instance.truth_x
     sigma_r_x = float(_truth_singular_values(instance)[instance.rank - 1] ** 2)
-    denom = l_hat * spectral_norm(instance.truth_x) + spectral_norm(
-        obj.grad(instance.truth_x)
-    )
-    return 1.0 - mu_hat * sigma_r_x / (constant * denom)
+    denom = obj.smoothness() * spectral_norm(x_star) + spectral_norm(obj.grad(x_star))
+    return 1.0 - obj.strong_convexity(instance.rank) * sigma_r_x / (constant * denom)
 
 
 def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
@@ -267,10 +254,7 @@ def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
     if algorithm not in runs:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     solve, step_mode, alpha_constant = runs[algorithm]
-    obj = instance.objective
-    l_hat = obj.smoothness()
-    mu_hat = obj.strong_convexity(instance.rank)
-    radius = contraction_radius(instance, mu_hat=mu_hat, l_hat=l_hat)
+    radius = contraction_radius(instance)
     rng = np.random.default_rng(seed)
     u0 = perturb_within_radius(instance, radius, rng)
     cfg = SolverConfig(
@@ -281,7 +265,7 @@ def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
         record_truth_dist=True,
     )
     _, trace = solve(instance, cfg, u0=u0)
-    alpha = contraction_alpha(instance, alpha_constant, mu_hat=mu_hat, l_hat=l_hat)
+    alpha = contraction_alpha(instance, alpha_constant)
 
     report = LemmaReport(
         f"contraction_{algorithm}",
@@ -343,9 +327,7 @@ def check_init_bound(instance):
     bound = float(rho * s[-1])
     u0 = init_point(obj, unconstrained(), n)
     dist = procrustes_dist(u0, instance.truth_factor)
-    vacuous = bound >= float(
-        np.linalg.norm(u0) + np.linalg.norm(instance.truth_factor)
-    )
+    vacuous = bound >= float(np.linalg.norm(u0) + np.linalg.norm(instance.truth_factor))
     return {
         "dist": dist,
         "bound": bound,
@@ -460,6 +442,10 @@ def fd_factored_gradient(obj, u, step=1e-5):
     return fd
 
 
+def _rel_gap(approx, exact):
+    return float(np.linalg.norm(approx - exact)) / max(float(np.linalg.norm(exact)), 1e-30)
+
+
 def _suite_gradients(seed):
     rng = np.random.default_rng(seed)
     inst_r = gen_synthetic(n=6, r=2, m=30, condition_number=2.0, noise_norm=1e-3, seed=seed)
@@ -475,18 +461,11 @@ def _suite_gradients(seed):
             if complex_field:
                 g = g + 1j * rng.standard_normal((n, n))
             x = 0.5 * (g + g.conj().T)
-            grad = obj.grad(x)
-            rel = float(np.linalg.norm(fd_gradient(obj, x) - grad)) / max(
-                float(np.linalg.norm(grad)), 1e-30
-            )
-            rep_x.record(1e-6 - rel, tol=0.0)
+            rep_x.record(1e-6 - _rel_gap(fd_gradient(obj, x), obj.grad(x)), tol=0.0)
             u = rng.standard_normal((n, inst.rank))
             if complex_field:
                 u = u + 1j * rng.standard_normal((n, inst.rank))
-            gu = obj.factored_grad(u)
-            rel_u = float(np.linalg.norm(fd_factored_gradient(obj, u) / 2.0 - gu)) / max(
-                float(np.linalg.norm(gu)), 1e-30
-            )
+            rel_u = _rel_gap(fd_factored_gradient(obj, u) / 2.0, obj.factored_grad(u))
             rep_u.record(1e-6 - rel_u, tol=0.0)
     return [rep_x, rep_u]
 
@@ -526,15 +505,11 @@ def _suite_contraction(seed):
 
 
 def _suite_xi(seed):
-    import dataclasses
-
-    from .problems import frobenius_ball
-
     reports = []
     for k in range(10):
         inst = gen_synthetic(n=24, r=2, m=288, condition_number=2.0, noise_norm=1e-3, seed=seed + k)
         # tightened ball: the optimum sits outside, so the projection fires
-        inst = dataclasses.replace(inst, constraint=frobenius_ball(0.8))
+        inst = replace(inst, constraint=frobenius_ball(0.8))
         reports.append(check_xi_bound(inst, seed=seed + k))
     return reports
 

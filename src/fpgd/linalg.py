@@ -68,7 +68,7 @@ def spectral_norm(m):
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    if m.ndim == 2 and m.shape[0] == m.shape[1] and is_hermitian(m, tol=1e-10):
+    if is_hermitian(m, tol=1e-10):  # False for non-square input
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     return float(np.linalg.norm(m, 2))
 

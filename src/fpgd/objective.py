@@ -1,10 +1,10 @@
 """Least-squares sensing objectives f(X) = ||A(X) - y||_2^2.
 
-A measurement ensemble is a list of Hermitian operators E_i with
-observations y_i, stored as the dense (m, n, n) stack or, for rank-one
-E_i = a_i a_i^H, as the (m, n) sensing vectors.  The forward map is
-(A(X))_i = Re trace(E_i X), the adjoint is A*(z) = sum_i z_i E_i, and
-the gradient convention is
+A measurement ensemble is a list of Hermitian operators E_i, held in
+one of two storage forms (``DenseStack``: the (m, n, n) stack;
+``RankOne``: the (m, n) sensing vectors of E_i = a_i a_i^H), with
+observations y_i.  The forward map is (A(X))_i = Re trace(E_i X), the
+adjoint is A*(z) = sum_i z_i E_i, and the gradient convention is
 
     grad f(X) = 2 A*(A(X) - y),
 
@@ -16,8 +16,8 @@ primitives of ``MeasurementEnsemble``:
     apply_factored(U)   = A(U U^H)
     adjoint_times(z, V) = A*(z) @ V
 
-For rank-one ensembles both cost O(m n r) and never form an n x n
-matrix; for dense stacks they go through ``apply`` and ``adjoint``.
+``RankOne`` has its own O(m n r) kernels for both, with no n x n matrix;
+a dense stack goes through the ensemble's ``apply`` and ``adjoint``.
 """
 
 import json
@@ -26,13 +26,16 @@ import numpy as np
 
 from .linalg import require_hermitian
 
-__all__ = ["MeasurementEnsemble", "Objective", "empirical_rip"]
+__all__ = ["DenseStack", "RankOne", "MeasurementEnsemble", "Objective", "empirical_rip"]
 
 # Power iteration for L_hat: relative Rayleigh-quotient tolerance, iteration
 # cap, and the seed of the start vector.
 _SMOOTHNESS_TOL = 1e-6
 _SMOOTHNESS_MAX_ITERS = 20000
 _SMOOTHNESS_SEED = 0
+# mu_hat: random rank-r directions tried, and their seed.
+_STRONG_CONVEXITY_TRIALS = 50
+_STRONG_CONVEXITY_SEED = 0
 
 
 def _encode_array(a):
@@ -51,15 +54,74 @@ def _decode_array(doc, complex_field, shape):
     return arr.reshape(shape)
 
 
+class DenseStack:
+    """Storage form: the (m, n, n) stack of Hermitian operators E_i."""
+
+    json_key = "operators"
+
+    def __init__(self, stack):
+        for k in range(stack.shape[0]):
+            require_hermitian(stack[k], what=f"operator {k}")
+        self.array = stack
+        self.nbytes = stack.nbytes
+        self.dtype = stack.dtype
+
+    def apply(self, x):
+        # Re trace(E_i X) = Re(vec E_i . conj vec X) for Hermitian E_i and any X.
+        return np.real(self.array.reshape(len(self.array), -1) @ x.conj().ravel())
+
+    def adjoint(self, z):
+        return (z @ self.array.reshape(len(self.array), -1)).reshape(self.array.shape[1:])
+
+
+class RankOne:
+    """Storage form: the (m, n) sensing vectors a_i of E_i = a_i a_i^H,
+    never expanded; every product is O(m n) per column."""
+
+    json_key = "vectors"
+
+    def __init__(self, vectors):
+        self.array = vectors
+        self.nbytes = vectors.nbytes
+        self.dtype = vectors.dtype
+
+    def apply(self, x):
+        # Re(a_i^H X a_i) = Re(conj(X a_i) . a_i): one matrix product for the
+        # rows X a_i, then row sums formed in place (no second m x n temporary).
+        a = self.array
+        rows = a @ x.T  # row i is X a_i
+        np.conjugate(rows, out=rows)
+        rows *= a
+        return np.real(rows.sum(axis=1))
+
+    def adjoint(self, z):
+        a = self.array
+        w = a * z[:, None]
+        np.conjugate(w, out=w)  # in place: one m x n temporary
+        return a.T @ w  # A^T diag(z) conj(A)
+
+    def apply_factored(self, u):
+        # (A(U U^H))_i = ||a_i^H U||^2, the row sums of |A conj(U)|^2.
+        w = self.array @ u.conj()  # row i is conj(a_i^H U)
+        return np.real(w * w.conj()).sum(axis=1)
+
+    def adjoint_times(self, z, v):
+        # sum_i z_i a_i (a_i^H V) = A^T (z . conj(A conj(V))).
+        a = self.array
+        w = a @ v.conj()  # row i is conj(a_i^H V)
+        w *= z[:, None]
+        np.conjugate(w, out=w)
+        return a.T @ w
+
+
 class MeasurementEnsemble:
     """Linear sensing operator: m Hermitian operators plus observations.
 
     Parameters
     ----------
-    operators : (m, n, n) array of Hermitian matrices E_i, or (m, n) array
-        of sensing vectors a_i standing for the rank-one E_i = a_i a_i^H.
-        The rank-one form is never expanded: apply and adjoint are one
-        matrix product each on the (m, n) array.
+    operators : (m, n, n) array of Hermitian matrices E_i, kept in
+        ``operator`` as a ``DenseStack``, or (m, n) array of sensing vectors
+        a_i for the rank-one E_i = a_i a_i^H, kept as a ``RankOne``.
     y : (m,) real observations.
     noise_norm : l2 norm of the additive noise used to produce ``y``
         (0 for noiseless data); carried as metadata.
@@ -74,104 +136,61 @@ class MeasurementEnsemble:
             raise ValueError("y length must match the number of operators")
         if noise_norm < 0:
             raise ValueError("noise_norm must be non-negative")
-        if ops.ndim == 3:  # a_i a_i^H is Hermitian by construction
-            for k in range(ops.shape[0]):
-                require_hermitian(ops[k], what=f"operator {k}")
-        self._ops = ops
+        self.operator = (RankOne if ops.ndim == 2 else DenseStack)(ops)
         self.y = y
         self.noise_norm = float(noise_norm)
 
     @property
-    def rank_one(self):
-        return self._ops.ndim == 2
-
-    @property
     def m(self):
-        return self._ops.shape[0]
+        return self.operator.array.shape[0]
 
     @property
     def dim(self):
-        return self._ops.shape[1]
+        return self.operator.array.shape[1]
 
     @property
     def dtype(self):
-        return self._ops.dtype
+        return self.operator.dtype
 
     @property
     def field(self):
-        return "complex" if np.iscomplexobj(self._ops) else "real"
-
-    @property
-    def operators(self):
-        """The (m, n, n) operator stack; built on each call for rank-one
-        ensembles, so the solve path never reads it."""
-        if self.rank_one:
-            return np.einsum("mi,mj->mij", self._ops, self._ops.conj())
-        return self._ops
+        return "complex" if self.dtype.kind == "c" else "real"
 
     def apply(self, x):
-        """A(X): real vector of Re trace(E_i X).
-
-        For Hermitian E_i, Re trace(E_i X) = Re(vec E_i . conj vec X) for
-        any X, so the operator stack is never conjugated.  For E_i = a_i a_i^H
-        it is Re(a_i^H X a_i) = Re(conj(X a_i) . a_i): one matrix product for
-        the rows X a_i, then row sums formed in place, so no second m x n
-        temporary is allocated.
-        """
+        """A(X): real vector of Re trace(E_i X)."""
         x = np.asarray(x)
         if x.shape != (self.dim, self.dim):
             raise ValueError(f"dimension mismatch: expected {(self.dim, self.dim)}, got {x.shape}")
-        if self.rank_one:
-            a = self._ops
-            rows = a @ x.T  # row i is X a_i
-            np.conjugate(rows, out=rows)
-            rows *= a
-            return np.real(rows.sum(axis=1))
-        return np.real(self._ops.reshape(self.m, -1) @ x.conj().ravel())
+        return self.operator.apply(x)
 
     def adjoint(self, z):
         """A*(z) = sum_i z_i E_i; Hermitian for real z."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.m,):
-            raise ValueError("adjoint input length must match m")
-        if self.rank_one:
-            a = self._ops
-            w = a * z[:, None]
-            np.conjugate(w, out=w)  # in place: one m x n temporary
-            return a.T @ w  # A^T diag(z) conj(A)
-        return (z @ self._ops.reshape(self.m, -1)).reshape(self.dim, self.dim)
+        return self.operator.adjoint(self._check_weights(z))
 
     def apply_factored(self, u):
-        """A(U U^H) for an (n, r) factor U.
-
-        Rank-one: (A(U U^H))_i = ||a_i^H U||^2, the row sums of
-        |A conj(U)|^2, with one m x r temporary.  Dense: ``apply`` on the
-        Hermitian part of U U^H.
-        """
+        """A(U U^H) for an (n, r) factor U; ``apply`` on the Hermitian part of
+        U U^H unless the storage form has its own kernel."""
         u = self._check_factor(u)
-        if self.rank_one:
-            w = self._ops @ u.conj()  # row i is conj(a_i^H U)
-            return np.real(w * w.conj()).sum(axis=1)
+        kernel = getattr(self.operator, "apply_factored", None)
+        if kernel is not None:
+            return kernel(u)
         x = u @ u.conj().T
         return self.apply(0.5 * (x + x.conj().T))
 
     def adjoint_times(self, z, v):
-        """A*(z) @ V for an (n, r) matrix V.
-
-        Rank-one: sum_i z_i a_i (a_i^H V) = A^T (z . conj(A conj(V))), with
-        one m x r temporary.  Dense: ``adjoint(z) @ V``.
-        """
+        """A*(z) @ V for an (n, r) matrix V; ``adjoint(z) @ V`` unless the
+        storage form has its own kernel."""
         v = self._check_factor(v)
-        if not self.rank_one:
+        kernel = getattr(self.operator, "adjoint_times", None)
+        if kernel is None:
             return self.adjoint(z) @ v
+        return kernel(self._check_weights(z), v)
+
+    def _check_weights(self, z):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.m,):
             raise ValueError("adjoint input length must match m")
-        a = self._ops
-        w = a @ v.conj()  # row i is conj(a_i^H V)
-        w *= z[:, None]
-        np.conjugate(w, out=w)
-        return a.T @ w
+        return z
 
     def _check_factor(self, u):
         u = np.asarray(u)
@@ -183,12 +202,11 @@ class MeasurementEnsemble:
 
     def to_json_dict(self):
         """{dim, field, operators | vectors, y, noise_norm}; complex entries
-        as [re, im]; rank-one ensembles store their sensing vectors."""
-        key = "vectors" if self.rank_one else "operators"
+        as [re, im]; the key names the storage form."""
         return {
             "dim": int(self.dim),
             "field": self.field,
-            key: [_encode_array(op) for op in self._ops],
+            self.operator.json_key: [_encode_array(op) for op in self.operator.array],
             "y": _encode_array(self.y),
             "noise_norm": self.noise_norm,
         }
@@ -199,6 +217,8 @@ class MeasurementEnsemble:
         field = doc["field"]
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}")
+        if ("operators" in doc) == ("vectors" in doc):
+            raise ValueError("ensemble JSON needs exactly one of 'operators' and 'vectors'")
         if "vectors" in doc:
             raw, shape = doc["vectors"], (n,)
         else:
@@ -281,20 +301,19 @@ class Objective:
         self._smoothness = 2.0 * lam
         return self._smoothness
 
-    def strong_convexity(self, rank, trials=50, seed=0):
+    def strong_convexity(self, rank):
         """mu_hat: 2 * min directional Gram curvature over random rank-r
-        Hermitian directions.
+        Hermitian directions; cached per rank.
 
         Diagnostics only; the solver's step size never uses it.
         """
-        key = (rank, trials, seed)
-        if key in self._mu_cache:
-            return self._mu_cache[key]
+        if rank in self._mu_cache:
+            return self._mu_cache[rank]
         n = self.dim
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_STRONG_CONVEXITY_SEED)
         complex_field = self.ensemble.field == "complex"
         best = np.inf
-        for _ in range(trials):
+        for _ in range(_STRONG_CONVEXITY_TRIALS):
             g = rng.standard_normal((n, rank))
             if complex_field:
                 g = g + 1j * rng.standard_normal((n, rank))
@@ -304,7 +323,7 @@ class Objective:
             d /= np.linalg.norm(d)
             curvature = 2.0 * float(np.sum(self.ensemble.apply(d) ** 2))
             best = min(best, curvature)
-        self._mu_cache[key] = best
+        self._mu_cache[rank] = best
         return best
 
 

@@ -255,9 +255,7 @@ def projfgd_solve(instance, cfg, u0=None, callback=None):
     (it is projected onto the constraint set first); ``callback`` receives
     one dict per iteration as the trace is produced.
     """
-    return _solve(
-        instance, cfg, instance.constraint, PROJFGD_STEP_CONSTANT, u0=u0, callback=callback
-    )
+    return _solve(instance, cfg, instance.constraint, PROJFGD_STEP_CONSTANT, u0=u0, callback=callback)
 
 
 def fgd_solve(instance, cfg, u0=None, callback=None):
@@ -280,19 +278,11 @@ def write_trace_csv(trace, path):
     lines = ["iter,objective,rel_change,xi,dist,grad_norm"]
     for k in range(trace.n_iters):
         d = trace.dist[k]
-        dist_field = "" if np.isnan(d) else _fmt(d)
-        lines.append(
-            ",".join(
-                [
-                    str(trace.iters[k]),
-                    _fmt(trace.objective[k]),
-                    _fmt(trace.rel_change[k]),
-                    _fmt(trace.xi[k]),
-                    dist_field,
-                    _fmt(trace.grad_norm[k]),
-                ]
-            )
-        )
+        fields = [
+            str(trace.iters[k]), _fmt(trace.objective[k]), _fmt(trace.rel_change[k]),
+            _fmt(trace.xi[k]), "" if np.isnan(d) else _fmt(d), _fmt(trace.grad_norm[k]),
+        ]
+        lines.append(",".join(fields))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

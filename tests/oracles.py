@@ -3,14 +3,16 @@
 These deliberately avoid the code paths of the package: the Jacobi
 eigensolver is hand-rolled (no LAPACK), the O(2) alignment search is a
 dense angle grid, the l1 projection is a coarse-to-fine grid search
-over the simplex face, and the ProjFGD reference loop forms every
-n x n iterate X = U U^H.
+over the simplex face, the ProjFGD reference loop forms every
+n x n iterate X = U U^H, and ``dense_stack`` expands any storage form
+to the full (m, n, n) operator stack.
 """
 
 import numpy as np
 import scipy.linalg
 
 from fpgd.linalg import procrustes_dist
+from fpgd.objective import RankOne
 from fpgd.problems import unconstrained
 from fpgd.solver import (
     FGD_STEP_CONSTANT,
@@ -113,6 +115,15 @@ def grid_l1_project(v, lam, rounds=6):
     return np.sign(v) * out
 
 
+
+
+def dense_stack(ens):
+    """The (m, n, n) operator stack of ``ens``: a dense stack as stored, or
+    the rank-one E_i = a_i a_i^H built from the sensing vectors a_i."""
+    a = ens.operator.array
+    if isinstance(ens.operator, RankOne):
+        return np.einsum("mi,mj->mij", a, a.conj())
+    return a
 
 
 def _dense_spectral_norm(x):

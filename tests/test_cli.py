@@ -6,6 +6,7 @@ import pytest
 
 from fpgd.cli import (
     EXIT_MAX_ITERS,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     canonical_config_bytes,
@@ -198,6 +199,36 @@ def test_sweep_invalid_solver_block_exits_64_before_any_cell(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
     assert not (out / "sweep.csv").exists()
+
+
+MALFORMED = {
+    "problem_q": ("solve", dict(QST_SOLVE_CONFIG, problem=dict(QST_SOLVE_CONFIG["problem"], q="abc"))),
+    "seed": ("solve", dict(QST_SOLVE_CONFIG, seed="abc")),
+    "solver_list": ("solve", dict(QST_SOLVE_CONFIG, solver=[])),
+    "sweep_q": ("sweep", dict(sweep_config([3], [2.0], 1), sweep={"q": 3, "r": [1], "c_sam": [2.0]})),
+    "problem_list": ("generate", dict(QST_SOLVE_CONFIG, problem=[])),
+    "sweep_list": ("sweep", dict(sweep_config([3], [2.0], 1), sweep=[])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_block_exits_64(tmp_path, capsys, name):
+    command, doc = MALFORMED[name]
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, doc)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", [{"c_sam": 0.0}, {"q": 5}], ids=["c_sam_too_small", "memory_guard"])
+def test_generator_errors_exit_1(tmp_path, monkeypatch, problem):
+    # A well-formed config the generator refuses is a numeric failure, not a
+    # config error; the memory guard sees a computed size, nothing is allocated.
+    monkeypatch.setattr("fpgd.problems._mem_available_bytes", lambda: 2**20)
+    doc = dict(QST_SOLVE_CONFIG, problem=dict(QST_SOLVE_CONFIG["problem"], **problem))
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
 
 
 def test_sweep_grid_row_count(tmp_path):

@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from oracles import dense_stack
 
 from fpgd.diagnostics import fd_factored_gradient, fd_gradient
 from fpgd.linalg import trace_inner
-from fpgd.objective import MeasurementEnsemble, Objective, empirical_rip
-from fpgd.problems import gen_qst, pauli_operator
+from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne, empirical_rip
+from fpgd.problems import gen_phase_retrieval, gen_qst, gen_synthetic, pauli_operator
 
 
 def random_ensemble(rng, n, m, complex_field=False, noise=0.0):
@@ -36,7 +37,7 @@ def test_value_zero_residual():
     rng = np.random.default_rng(0)
     ens = random_ensemble(rng, 4, 6)
     x = random_hermitian(rng, 4)
-    exact = MeasurementEnsemble(ens.operators, ens.apply(x), 0.0)
+    exact = MeasurementEnsemble(dense_stack(ens), ens.apply(x), 0.0)
     assert Objective(exact).value(x) == 0.0
 
 
@@ -54,7 +55,7 @@ def test_value_matches_naive_summation():
         general = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         for x in (hermitian, general):
             naive = sum(
-                (np.real(np.trace(ens.operators[k] @ x)) - ens.y[k]) ** 2
+                (np.real(np.trace(dense_stack(ens)[k] @ x)) - ens.y[k]) ** 2
                 for k in range(ens.m)
             )
             assert obj.value(x) == pytest.approx(naive, rel=1e-12)
@@ -76,7 +77,7 @@ def test_grad_zero_at_interpolating_point():
     rng = np.random.default_rng(3)
     ens = random_ensemble(rng, 4, 6)
     x = random_hermitian(rng, 4)
-    obj = Objective(MeasurementEnsemble(ens.operators, ens.apply(x), 0.0))
+    obj = Objective(MeasurementEnsemble(dense_stack(ens), ens.apply(x), 0.0))
     assert np.allclose(obj.grad(x), 0.0, atol=1e-12)
 
 
@@ -84,7 +85,7 @@ def test_grad_at_origin():
     rng = np.random.default_rng(4)
     ens = random_ensemble(rng, 4, 6)
     obj = Objective(ens)
-    expected = -2.0 * np.einsum("k,kij->ij", ens.y, ens.operators)
+    expected = -2.0 * np.einsum("k,kij->ij", ens.y, dense_stack(ens))
     assert np.allclose(obj.grad(np.zeros((4, 4))), expected, atol=1e-12)
 
 
@@ -119,7 +120,7 @@ def test_factored_grad_trivial_points():
     ens = random_ensemble(rng, 4, 6)
     u_star = rng.standard_normal((4, 2))
     x_star = u_star @ u_star.T
-    obj = Objective(MeasurementEnsemble(ens.operators, ens.apply(x_star), 0.0))
+    obj = Objective(MeasurementEnsemble(dense_stack(ens), ens.apply(x_star), 0.0))
     assert np.allclose(obj.factored_grad(np.zeros((4, 2))), 0.0)
     assert np.allclose(obj.factored_grad(u_star), 0.0, atol=1e-12)
 
@@ -146,7 +147,7 @@ def test_smoothness_orthonormal_family():
 def test_smoothness_matches_dense_gram_oracle(complex_field):
     rng = np.random.default_rng(8)
     ens = random_ensemble(rng, 5, 12, complex_field)
-    flat = ens.operators.reshape(ens.m, -1)
+    flat = dense_stack(ens).reshape(ens.m, -1)
     gram = np.real(flat.conj() @ flat.T)  # m x m overlap matrix
     dense = 2.0 * np.max(np.linalg.eigvalsh(gram))
     assert Objective(ens).smoothness() == pytest.approx(dense, rel=1e-3)
@@ -214,7 +215,7 @@ def test_ensemble_json_roundtrip(tmp_path, complex_field):
     ens.save(path)
     back = MeasurementEnsemble.load(path)
     assert back.field == ens.field
-    assert np.array_equal(back.operators, ens.operators)
+    assert np.array_equal(dense_stack(back), dense_stack(ens))
     assert np.array_equal(back.y, ens.y)
     assert back.noise_norm == ens.noise_norm
 
@@ -231,8 +232,8 @@ def test_rank_one_json_roundtrip_is_bit_exact(tmp_path, complex_field):
     doc = json.loads(path.read_text())
     assert "vectors" in doc and "operators" not in doc
     back = MeasurementEnsemble.load(path)
-    assert back.rank_one and back.field == ens.field
-    assert np.array_equal(back.operators, ens.operators)
+    assert isinstance(back.operator, RankOne) and back.field == ens.field
+    assert np.array_equal(dense_stack(back), dense_stack(ens))
     x = random_hermitian(rng, 4, complex_field)
     z = rng.standard_normal(6)
     assert np.array_equal(back.apply(x), ens.apply(x))
@@ -252,3 +253,24 @@ def test_ensemble_validation():
     nonherm[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
         MeasurementEnsemble(nonherm, np.zeros(1), 0.0)
+
+
+@pytest.mark.parametrize("keys", [(), ("operators", "vectors")], ids=["neither", "both"])
+def test_ensemble_json_needs_exactly_one_form_key(keys):
+    doc = {"dim": 2, "field": "real", "y": [1.0], "noise_norm": 0.0}
+    doc.update({key: [[1.0, 0.0, 0.0, 1.0]] if key == "operators" else [[1.0, 0.0]] for key in keys})
+    with pytest.raises(ValueError, match="'operators' and 'vectors'"):
+        MeasurementEnsemble.from_json_dict(doc)
+
+
+def test_operator_nbytes_is_the_stored_array():
+    # The bytes an ensemble holds: the stored stack or vectors, plus y.
+    pr = gen_phase_retrieval(n=96, sparsity=6, m=768, noise_norm=0.0, seed=0).objective.ensemble
+    assert isinstance(pr.operator, RankOne)
+    assert pr.operator.nbytes == pr.operator.array.nbytes == 768 * 96 * 16
+    assert pr.operator.nbytes + pr.y.nbytes == 1_185_792
+    assert pr.operator.dtype == np.dtype(complex)
+    dense = gen_synthetic(n=6, r=2, m=20, seed=0).objective.ensemble
+    assert isinstance(dense.operator, DenseStack)
+    assert dense.operator.nbytes == dense.operator.array.nbytes == 20 * 6 * 6 * 8
+    assert dense.operator.dtype == np.dtype(float)

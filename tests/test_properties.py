@@ -2,18 +2,31 @@
 
 Random small ensembles, dense (real or complex Hermitian stacks) and
 rank-one (sensing vectors a_i for E_i = a_i a_i^H), drawn from a seed
-that hypothesis chooses.  The dense twin ``MeasurementEnsemble(ens.operators, y)``
+that hypothesis chooses.  The dense twin ``MeasurementEnsemble(dense_stack(ens), y)``
 is the oracle for the rank-one form, and the n x n ``apply``/``adjoint``
 and ``spectral_norm`` are the oracles for the factor-space primitives and
-stopping norms.
+stopping norms.  The constraint projections are checked against their
+variational inequality, and the Procrustes distance against its symmetry
+and rotation invariance.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dense_stack
 
-from fpgd.linalg import gram_diff_norm, gram_norm, is_hermitian, spectral_norm, trace_inner
-from fpgd.objective import MeasurementEnsemble
+from fpgd.linalg import (
+    gram_diff_norm,
+    gram_norm,
+    is_hermitian,
+    procrustes_dist,
+    project_frobenius_ball,
+    project_l1_ball,
+    psd_project,
+    spectral_norm,
+    trace_inner,
+)
+from fpgd.objective import DenseStack, MeasurementEnsemble
 
 REL = 1e-12
 
@@ -47,7 +60,7 @@ def build(spec):
 
 def weight(ens, z):
     """sum_i |z_i| ||E_i||_F: the scale of A*(z), and with ||X||_F of <A(X), z>."""
-    norms = np.linalg.norm(ens.operators.reshape(ens.m, -1), axis=1)
+    norms = np.linalg.norm(dense_stack(ens).reshape(ens.m, -1), axis=1)
     return float(np.abs(z) @ norms)
 
 
@@ -77,16 +90,16 @@ def test_adjoint_is_hermitian(spec):
 @given(ensembles.map(lambda spec: ("rank_one",) + spec[1:]))
 def test_rank_one_matches_dense_twin(spec):
     ens, rng = build(spec)
-    stack = ens.operators
+    stack = dense_stack(ens)
     twin = MeasurementEnsemble(stack, ens.y)
-    assert not twin.rank_one and twin.field == ens.field and twin.dim == ens.dim
+    assert isinstance(twin.operator, DenseStack) and twin.field == ens.field and twin.dim == ens.dim
     n = ens.dim
     x = _draw(rng, (n, n), True)  # a general complex X
     z = rng.standard_normal(ens.m)
     apply_scale = weight(ens, np.ones(ens.m)) * np.linalg.norm(x)
     assert np.max(np.abs(ens.apply(x) - twin.apply(x))) <= REL * apply_scale
     assert np.max(np.abs(ens.adjoint(z) - twin.adjoint(z))) <= REL * weight(ens, z)
-    assert np.array_equal(ens.operators, stack)  # apply/adjoint leave the vectors alone
+    assert np.array_equal(dense_stack(ens), stack)  # apply/adjoint leave the vectors alone
 
 
 @PROPERTY_SETTINGS
@@ -95,7 +108,7 @@ def test_factored_primitives_match_dense_calls(spec, r):
     # apply_factored(U) = apply(U U^H) and adjoint_times(z, V) = adjoint(z) V,
     # including 2r > n; neither call changes the stored operators.
     ens, rng = build(spec)
-    stored = ens.operators.copy()
+    stored = dense_stack(ens).copy()
     u = _draw(rng, (ens.dim, r), spec[1])
     v = _draw(rng, (ens.dim, r), spec[1])
     z = rng.standard_normal(ens.m)
@@ -104,7 +117,7 @@ def test_factored_primitives_match_dense_calls(spec, r):
     assert np.max(np.abs(ens.apply_factored(u) - ens.apply(x))) <= REL * apply_scale
     gap = np.max(np.abs(ens.adjoint_times(z, v) - ens.adjoint(z) @ v))
     assert gap <= REL * weight(ens, z) * np.linalg.norm(v)
-    assert np.array_equal(ens.operators, stored)
+    assert np.array_equal(dense_stack(ens), stored)
 
 
 factor_pairs = st.tuples(
@@ -139,3 +152,73 @@ def test_factor_space_norms_match_dense(spec):
     scale = max(spectral_norm(x1), spectral_norm(x0))
     assert abs(gram_diff_norm(u1, u0) - spectral_norm(x1 - x0)) <= REL * scale
     assert abs(gram_norm(u1) - spectral_norm(x1)) <= REL * scale
+
+
+projection_cases = st.tuples(
+    st.booleans(),  # complex field
+    st.integers(1, 6),  # n
+    st.integers(1, 3),  # r
+    st.floats(0.05, 4.0),  # ball radius
+    st.integers(0, 2**32 - 1),  # data seed
+)
+
+
+def _inside_ball(rng, shape, complex_field, lam, norm):
+    # A point of {norm(U) <= lam}, from the centre out to the boundary.
+    w = _draw(rng, shape, complex_field)
+    return w * (lam * rng.uniform(0.0, 1.0) / norm(w))
+
+
+@PROPERTY_SETTINGS
+@given(projection_cases)
+def test_ball_projections_satisfy_the_variational_inequality(spec):
+    # P = Pi_C(V) is the Euclidean projection onto a convex C iff P is in C
+    # and <P - U, V - P> >= 0 for every U in C; here C is the Frobenius and
+    # the entrywise l1 ball, and V lies inside or outside it.
+    complex_field, n, r, lam, seed = spec
+    rng = np.random.default_rng(seed)
+    v = 2.0 * lam * _draw(rng, (n, r), complex_field)
+    for p, norm in (
+        (project_frobenius_ball(v, lam)[0], np.linalg.norm),
+        (project_l1_ball(v, lam), lambda a: float(np.abs(a).sum())),
+    ):
+        assert norm(p) <= lam * (1.0 + REL)
+        scale = (np.linalg.norm(p) + lam) * np.linalg.norm(v)
+        # the boundary point in the direction of V, then random points
+        candidates = [v * (lam / norm(v))]
+        candidates += [_inside_ball(rng, (n, r), complex_field, lam, norm) for _ in range(10)]
+        for u in candidates:
+            assert trace_inner(p - u, v - p) >= -1e-10 * scale
+
+
+@PROPERTY_SETTINGS
+@given(projection_cases)
+def test_psd_projection_satisfies_the_variational_inequality(spec):
+    # <P - G, H - P> >= 0 for every PSD G, with P = Pi_+(H) itself PSD.
+    complex_field, n, r, _, seed = spec
+    rng = np.random.default_rng(seed)
+    h = _draw(rng, (n, n), complex_field)
+    h = 0.5 * (h + h.conj().T)
+    p = psd_project(h)
+    assert np.min(np.linalg.eigvalsh(p)) >= -REL * np.linalg.norm(h)
+    for _ in range(10):
+        g = _draw(rng, (n, r), complex_field)
+        g = g @ g.conj().T
+        scale = (np.linalg.norm(p) + np.linalg.norm(g)) * np.linalg.norm(h)
+        assert trace_inner(p - g, h - p) >= -1e-10 * scale
+
+
+@PROPERTY_SETTINGS
+@given(factor_pairs)
+def test_procrustes_dist_is_symmetric_and_rotation_invariant(spec):
+    # Dist(U, V) = Dist(V, U) = Dist(U Q, V) = Dist(U, V Q) for unitary Q.
+    _, complex_field, n, r, seed = spec
+    rng = np.random.default_rng(seed)
+    u = _draw(rng, (n, r), complex_field)
+    v = _draw(rng, (n, r), complex_field)
+    q, _ = np.linalg.qr(_draw(rng, (r, r), complex_field))
+    d = procrustes_dist(u, v)
+    tol = 1e-10 * (np.linalg.norm(u) + np.linalg.norm(v))
+    assert abs(procrustes_dist(v, u) - d) <= tol
+    assert abs(procrustes_dist(u @ q, v) - d) <= tol
+    assert abs(procrustes_dist(u, v @ q) - d) <= tol

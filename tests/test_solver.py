@@ -5,12 +5,12 @@ import json
 
 import numpy as np
 import pytest
-from oracles import dense_projfgd_reference
+from oracles import dense_projfgd_reference, dense_stack
 from test_golden import SOLVE_CASES
 
 from fpgd.cli import build_instance, build_solver_config
 from fpgd.linalg import procrustes_dist, spectral_norm
-from fpgd.objective import MeasurementEnsemble, Objective
+from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne
 from fpgd.problems import (
     ProblemInstance,
     frobenius_ball,
@@ -89,7 +89,7 @@ def test_step_size_formula_instantiation():
     assert step_size(obj, x0, 1.0 / 128.0) == pytest.approx(1.0 / 128.0)
     # doubling both spectral norms halves eta
     x2 = 2.0 * np.eye(2)
-    obj2 = Objective(MeasurementEnsemble(ens.operators, np.array([2.0 * np.sqrt(2.0)]), 0.0))
+    obj2 = Objective(MeasurementEnsemble(dense_stack(ens), np.array([2.0 * np.sqrt(2.0)]), 0.0))
     obj2._smoothness = 1.0
     assert step_size(obj2, x2, 1.0 / 128.0) == pytest.approx(1.0 / 256.0)
 
@@ -202,7 +202,7 @@ def test_zero_observations_converge_without_a_step(solve, step_mode):
     inst = gen_synthetic(n=6, r=2, m=40, condition_number=2.0, noise_norm=0.0, seed=0)
     ens = inst.objective.ensemble
     inst = dataclasses.replace(
-        inst, objective=Objective(MeasurementEnsemble(ens.operators, np.zeros(ens.m)))
+        inst, objective=Objective(MeasurementEnsemble(dense_stack(ens), np.zeros(ens.m)))
     )
     u, trace = solve(inst, SolverConfig(rank=2, step_mode=step_mode))
     assert trace.status == "converged"
@@ -217,9 +217,10 @@ def test_rank_one_solve_matches_dense_twin(tmp_path):
     inst = gen_phase_retrieval(n=16, sparsity=2, m=96, noise_norm=0.0, seed=2)
     ens = inst.objective.ensemble
     twin = dataclasses.replace(
-        inst, objective=Objective(MeasurementEnsemble(ens.operators, ens.y, ens.noise_norm))
+        inst, objective=Objective(MeasurementEnsemble(dense_stack(ens), ens.y, ens.noise_norm))
     )
-    assert ens.rank_one and not twin.objective.ensemble.rank_one
+    assert isinstance(ens.operator, RankOne)
+    assert isinstance(twin.objective.ensemble.operator, DenseStack)
     cfg = SolverConfig(rank=1, max_iters=3000, step_size_constant=0.5, record_truth_dist=True)
     _, fast = projfgd_solve(inst, cfg)
     _, dense = projfgd_solve(twin, cfg)
@@ -279,6 +280,40 @@ def test_rank_one_loop_makes_no_n_by_n_operator_call(monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["apply"] > 0 and counts[0]["adjoint"] > 0
+
+
+@pytest.mark.parametrize("step_mode", ["fixed_from_init", "adaptive_per_iter"])
+def test_dense_loop_reads_the_operator_through_apply_and_adjoint(monkeypatch, step_mode):
+    # A dense stack has no factored kernel: each apply_factored/adjoint_times
+    # call makes exactly one MeasurementEnsemble.apply/adjoint call, so the
+    # dense solve's operator work is seen on those two methods.
+    calls = {"apply_factored": 0, "adjoint_times": 0, "apply": 0, "adjoint": 0}
+    running = []  # factored primitives on the call stack
+
+    def counted(name, original):
+        def wrapper(self, *args):
+            if name in ("apply_factored", "adjoint_times"):
+                calls[name] += 1
+                running.append(name)
+                try:
+                    return original(self, *args)
+                finally:
+                    running.pop()
+            if running:
+                calls[name] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(MeasurementEnsemble, name, counted(name, getattr(MeasurementEnsemble, name)))
+    inst = gen_synthetic(n=8, r=2, m=60, condition_number=2.0, noise_norm=0.0, seed=7)
+    assert isinstance(inst.objective.ensemble.operator, DenseStack)
+    cfg = SolverConfig(rank=2, max_iters=20, step_size_constant=0.5, step_mode=step_mode)
+    _, trace = projfgd_solve(inst, cfg)
+    assert trace.n_iters == 20
+    assert calls["apply"] == calls["apply_factored"] == 21
+    assert calls["adjoint"] == calls["adjoint_times"] == 20
 
 
 def test_adaptive_step_mode_converges():
