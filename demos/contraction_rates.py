@@ -15,6 +15,8 @@ import numpy as np
 
 from fpgd import SolverConfig, fgd_solve, gen_synthetic, projfgd_solve
 from fpgd.diagnostics import (
+    FGD_ALPHA_CONSTANT,
+    PROJFGD_ALPHA_CONSTANT,
     contraction_alpha,
     fit_contraction,
     perturb_within_radius,
@@ -29,8 +31,8 @@ rng = np.random.default_rng(7)
 u0 = perturb_within_radius(inst, radius, rng)
 
 for name, solve, mode, constant in (
-    ("ProjFGD", projfgd_solve, "adaptive_per_iter", 550.0),
-    ("FGD    ", fgd_solve, "fixed_from_init", 64.0),
+    ("ProjFGD", projfgd_solve, "adaptive_per_iter", PROJFGD_ALPHA_CONSTANT),
+    ("FGD    ", fgd_solve, "fixed_from_init", FGD_ALPHA_CONSTANT),
 ):
     cfg = SolverConfig(rank=2, max_iters=150, tol=1e-14, step_mode=mode, record_truth_dist=True)
     _, trace = solve(inst, cfg, u0=u0)

@@ -15,6 +15,7 @@ import dataclasses
 
 from fpgd import gen_synthetic
 from fpgd.diagnostics import (
+    XI_LOWER_BOUND,
     check_descent_lemma,
     check_init_bound,
     check_tu_inequality,
@@ -39,8 +40,8 @@ inst = dataclasses.replace(inst, constraint=frobenius_ball(0.8))
 rep = check_xi_bound(inst, iters=300, seed=5)
 fired = rep.context["fired"]
 if fired:
-    min_xi = rep.worst_margin + 128.0 / 129.0
-    print(f"  projection fired {fired} times; min xi = {min_xi:.9f} >= 128/129 = {128/129:.9f}")
+    min_xi = rep.worst_margin + XI_LOWER_BOUND
+    print(f"  projection fired {fired} times; min xi = {min_xi:.9f} >= 128/129 = {XI_LOWER_BOUND:.9f}")
 else:
     print("  projection never fired on this run")
 

@@ -5,8 +5,8 @@ One JSON config document drives everything; numeric defaults mirror the
 solver defaults (C = 1/128, tol = 5e-6, noise 1e-3).  Exit codes:
 0 converged / all checks passed, 2 iteration budget exhausted, 1 numeric
 failure, 64 malformed config (a solver block that SolverConfig rejects
-included), missing file, or unknown suite.  Logging level comes from
-FPGD_LOG (error | info | debug).
+included), a missing input file, an output directory that names a file,
+or unknown suite.  Logging level comes from FPGD_LOG (error | info | debug).
 """
 
 import argparse
@@ -85,7 +85,7 @@ def _require(doc, key, where, convert=None, default=_REQUIRED):
     value = doc.get(key, default)
     try:
         return value if convert is None else convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {key!r} in {where}: {value!r}") from exc
 
 
@@ -97,6 +97,12 @@ def _object(value):
 
 def _optional_float(value):
     return None if value is None else float(value)
+
+
+def _list(value):
+    if not isinstance(value, list):  # a string is not a list of characters
+        raise TypeError("not a JSON list")
+    return value
 
 
 def _seed_and_out(args, doc):
@@ -143,23 +149,25 @@ def build_instance(problem, seed):
         ensemble = get("ensemble_file", Path)
         companion = get("companion_file", Path)
         for p in (ensemble, companion):
-            if not p.exists():
-                raise FileNotFoundError(f"instance file not found: {p}")
+            if not p.is_file():
+                raise FileNotFoundError(f"instance file not found (or not a file): {p}")
         return ProblemInstance.load(ensemble, companion)
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def build_solver_config(solver, rank):
     try:
+        if not isinstance(solver.get("record_truth_dist", False), bool):
+            raise TypeError("record_truth_dist must be a JSON boolean")
         cfg = SolverConfig(
             rank=rank,
             max_iters=int(solver.get("max_iters", 10000)),
             tol=float(solver.get("tol", 5e-6)),
             step_size_constant=_optional_float(solver.get("step_size_constant")),
             step_mode=solver.get("step_mode", "fixed_from_init"),
-            record_truth_dist=bool(solver.get("record_truth_dist", False)),
+            record_truth_dist=solver.get("record_truth_dist", False),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid solver block: {exc}") from exc
     algorithm = solver.get("algorithm", "projfgd")
     if algorithm not in ("projfgd", "fgd"):
@@ -225,9 +233,9 @@ def cmd_sweep(args):
     doc = load_config(args.config)
     root_seed, out = _seed_and_out(args, doc)
     grid = _require(doc, "sweep", "config", _object)
-    qs = _require(grid, "q", "sweep", lambda vs: [int(v) for v in vs])
-    rs = _require(grid, "r", "sweep", lambda vs: [int(v) for v in vs])
-    c_sams = _require(grid, "c_sam", "sweep", lambda vs: [float(v) for v in vs])
+    qs = _require(grid, "q", "sweep", lambda vs: [int(v) for v in _list(vs)])
+    rs = _require(grid, "r", "sweep", lambda vs: [int(v) for v in _list(vs)])
+    c_sams = _require(grid, "c_sam", "sweep", lambda vs: [float(v) for v in _list(vs)])
     n_seeds = _require(grid, "seeds", "sweep", int, 1)
     noise = _require(grid, "noise", "sweep", float, 1e-3)
     solver_doc = _require(doc, "solver", "config", _object, {})
@@ -268,10 +276,8 @@ def cmd_verify(args):
         print(f"unknown suite {args.suite!r}; choose from: {', '.join(SUITE_NAMES)}",
               file=sys.stderr)
         return EXIT_USAGE
-    seed = args.seed if args.seed is not None else 0
+    seed, out = _seed_and_out(args, {})
     report = run_suite(args.suite, seed=seed)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"report_{args.suite}.json"
     with open(path, "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
@@ -343,8 +349,8 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
+    except (FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
+        print(str(exc), file=sys.stderr)  # a missing input, or an output path taken by a file
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

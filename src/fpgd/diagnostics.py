@@ -18,6 +18,7 @@ from .solver import (
     PROJFGD_STEP_CONSTANT,
     SolverConfig,
     _adaptive_step,
+    _step_denominator,
     fgd_solve,
     init_point,
     projfgd_solve,
@@ -156,9 +157,9 @@ def perturb_within_radius(instance, radius, rng, fraction=0.9):
     return u0
 
 
-def check_descent_lemma(instance, u=None, trials=200, seed=0, radius=None):
-    """Sample random feasible points around ``u`` (default: the truth)
-    inside the theorem radius and evaluate the descent inequality.
+def check_descent_lemma(instance, trials=200, seed=0, radius=None):
+    """Sample random feasible points around the truth inside the theorem
+    radius and evaluate the descent inequality.
 
     Points falling outside the radius after projection are skipped and
     counted; the lemma asserts nothing there.
@@ -166,7 +167,7 @@ def check_descent_lemma(instance, u=None, trials=200, seed=0, radius=None):
     obj = instance.objective
     if radius is None:
         radius = contraction_radius(instance)
-    center = instance.truth_factor if u is None else np.asarray(u)
+    center = instance.truth_factor
     rng = np.random.default_rng(seed)
     report = LemmaReport(
         "descent_lemma",
@@ -237,9 +238,8 @@ def contraction_alpha(instance, constant=PROJFGD_ALPHA_CONSTANT):
     """alpha = 1 - mu sigma_r(X*) / (constant (L ||X*||_2 + ||grad f(X*)||_2));
     constant 550 for the projected solver, 64 for the unconstrained one."""
     obj = instance.objective
-    x_star = instance.truth_x
     sigma_r_x = float(_truth_singular_values(instance)[instance.rank - 1] ** 2)
-    denom = obj.smoothness() * spectral_norm(x_star) + spectral_norm(obj.grad(x_star))
+    denom = _step_denominator(obj, instance.truth_x)
     return 1.0 - obj.strong_convexity(instance.rank) * sigma_r_x / (constant * denom)
 
 

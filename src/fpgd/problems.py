@@ -83,9 +83,15 @@ class ConstraintSet:
     def to_json_dict(self):
         return {"kind": self.kind, "lam": self.lam, "faithful": self.faithful}
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        return cls(doc["kind"], doc["lam"], doc["faithful"])
+    @staticmethod
+    def from_json_dict(doc):
+        # Through the constructors: faithful follows from kind, and lam is checked on load.
+        kind = doc["kind"]
+        if kind == "unconstrained":
+            return unconstrained()
+        if kind in ("frobenius_ball", "l1_ball"):
+            return (frobenius_ball if kind == "frobenius_ball" else l1_ball)(doc["lam"])
+        raise ValueError(f"unknown constraint kind {kind!r}")
 
 
 def unconstrained():
@@ -219,15 +225,13 @@ def _mem_available_bytes():
     return None
 
 
-def _require_stack_fits(m, n, itemsize):
-    # Refuse a dense (m, n, n) operator stack that cannot fit in available
-    # memory, before allocating it; skipped where MemAvailable is unknown.
-    need = itemsize * m * n * n
+def _require_fits(need, what):
+    # Refuse ``need`` bytes for ``what`` beyond MemAvailable before allocating; unknown: no check.
     available = _mem_available_bytes()
     if available is not None and need > available:
         raise ValueError(
-            f"dense operator stack of {m} x {n} x {n} needs {need} bytes "
-            f"(~{need / 2**30:.1f} GiB), more than the {available} bytes available"
+            f"{what} needs {need} bytes (~{need / 2**30:.1f} GiB), "
+            f"more than the {available} bytes available"
         )
 
 
@@ -276,16 +280,20 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     n = 2**q
     if r > n:
         raise ValueError("rank must not exceed 2^q")
-    m = int(round(c_sam * r * n * np.log(n)))
-    if m < 1:
-        raise ValueError("c_sam too small: no measurements")
-    _require_stack_fits(m, n, np.dtype(complex).itemsize)
+    samples = c_sam * r * n * float(np.log(n))  # a Python float: overflow gives inf, no warning
+    if not 0.5 < samples < np.inf:  # rounds to at least one measurement, and is finite
+        raise ValueError(f"c_sam={c_sam!r} gives no finite, positive measurement count")
+    m = int(round(samples))
+    _require_fits(16 * m * n * n, f"dense operator stack of {m} x {n} x {n}")
     rng = np.random.default_rng(seed)
     strings = _sample_distinct_paulis(q, m, rng)
     scale = n**1.5 / np.sqrt(m)
     ops = np.empty((m, n, n), dtype=complex)  # filled in place: one stack in memory
+    # Written in place: two more n x n temporaries per operator made the allocator
+    # return and refault heap pages each time (~96 faults per operator at q=7).
     for k, s in enumerate(strings):
-        ops[k] = scale * pauli_operator(q, s)
+        op = np.divide(pauli_operator(q, s, normalize=False), np.sqrt(2.0**q), out=ops[k])
+        np.multiply(scale, op, out=op)
 
     g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     basis, _ = np.linalg.qr(g)
@@ -311,6 +319,7 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
         raise ValueError("sparsity must not exceed n")
     if m < 1:
         raise ValueError("need at least one measurement")
+    _require_fits(16 * m * n, f"{m} x {n} sensing vectors")
     rng = np.random.default_rng(seed)
     support = rng.choice(n, size=sparsity, replace=False)
     x = np.zeros(n, dtype=complex)
@@ -340,7 +349,7 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
         raise ValueError("rank must not exceed n")
     if m < 1:
         raise ValueError("need at least one measurement")
-    _require_stack_fits(m, n, np.dtype(float).itemsize)
+    _require_fits(8 * m * n * n, f"dense operator stack of {m} x {n} x {n}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, n, n))
     ops = (g + np.transpose(g, (0, 2, 1))) / (2.0 * np.sqrt(m))

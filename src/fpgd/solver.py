@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     factor_from_psd,
@@ -120,18 +119,17 @@ def init_point(obj, constraint, r):
     return _init(obj, constraint, r)[1]
 
 
-def _fixed_step(obj, x0, constant):
-    # None when x0 and grad f(x0) both vanish.
-    denom = obj.smoothness() * spectral_norm(x0) + spectral_norm(obj.grad(x0))
-    return constant / denom if denom != 0.0 else None
+def _step_denominator(obj, x):
+    # L_hat ||x||_2 + ||grad f(x)||_2: the fixed step's at X_0, the contraction rate's at X*.
+    return obj.smoothness() * spectral_norm(x) + spectral_norm(obj.grad(x))
 
 
 def step_size(obj, x0, constant=PROJFGD_STEP_CONSTANT):
     """eta = C / (L_hat ||x0||_2 + ||grad f(x0)||_2)."""
-    eta = _fixed_step(obj, x0, constant)
-    if eta is None:
+    denom = _step_denominator(obj, x0)
+    if denom == 0.0:
         raise ValueError("zero step-size denominator: x0 and grad f(x0) both vanish")
-    return eta
+    return constant / denom
 
 
 def _adaptive_step(ens, l_hat, u, z, constant):
@@ -144,7 +142,8 @@ def _adaptive_step(ens, l_hat, u, z, constant):
     (or zero) factors.
     """
     r = u.shape[1]
-    q = scipy.linalg.orth(u)
+    w, s, _ = np.linalg.svd(u, full_matrices=False)
+    q = w[:, s > s.max(initial=0.0) * np.finfo(s.dtype).eps * max(u.shape)]
     g = ens.adjoint_times(z, np.hstack([u, q]))
     column_norm = float(np.linalg.norm(g[:, r:], 2)) if q.size else 0.0
     denom = l_hat * gram_norm(u) + column_norm
@@ -178,12 +177,12 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
 
     eta = None
     if cfg.step_mode == "fixed_from_init":
-        eta = _fixed_step(obj, x_ref, constant)
-        if eta is None:
+        denom = _step_denominator(obj, x_ref)
+        if denom == 0.0:
             trace.status = "converged"  # zero gradient at a zero iterate: fixed point
             trace.elapsed_ms = 1e3 * (time.perf_counter() - t0)
             return u, trace
-        trace.step_eta = eta
+        eta = trace.step_eta = constant / denom
 
     for t in range(1, cfg.max_iters + 1):
         z = 2.0 * res

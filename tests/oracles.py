@@ -18,8 +18,8 @@ from fpgd.solver import (
     FGD_STEP_CONSTANT,
     PROJFGD_STEP_CONSTANT,
     SolveTrace,
-    _fixed_step,
     _init,
+    _step_denominator,
 )
 
 
@@ -157,11 +157,11 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
     blowup = 1e6 * (trace.initial_objective + 1e-12 * (1.0 + float(ens.y @ ens.y)))
     eta = None
     if cfg.step_mode == "fixed_from_init":
-        eta = _fixed_step(obj, x_ref, constant)
-        if eta is None:
+        denom = _step_denominator(obj, x_ref)
+        if denom == 0.0:
             trace.status = "converged"
             return u, trace
-        trace.step_eta = eta
+        eta = trace.step_eta = constant / denom
 
     trace.status = "max_iters"
     for t in range(1, cfg.max_iters + 1):

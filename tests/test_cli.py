@@ -1,9 +1,16 @@
 """Command-line interface: configs, commands, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fpgd
 from fpgd.cli import (
     EXIT_MAX_ITERS,
     EXIT_NUMERIC,
@@ -26,6 +33,16 @@ QST_SOLVE_CONFIG = {
 def write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the package and its
+    # command line, in a fresh interpreter, loads no scipy module.
+    src = str(Path(fpgd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, fpgd, fpgd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +185,31 @@ def test_generate_then_solve_from_files(tmp_path):
     assert summary["final_rel_error"] <= 1e-3
 
 
+def test_solve_instance_file_that_is_a_directory_exits_64(tmp_path, capsys):
+    folder = tmp_path / "instance_dir"
+    folder.mkdir()
+    companion = tmp_path / "instance.json"
+    companion.write_text("{}")
+    solve_cfg = tmp_path / "solve.json"
+    write_json(solve_cfg, {
+        "problem": {"kind": "files", "ensemble_file": str(folder), "companion_file": str(companion)},
+    })
+    assert main(["solve", "--config", str(solve_cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert str(folder) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_out_naming_an_existing_file_exits_64(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, QST_SOLVE_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["solve", "--config", str(cfg)] if command == "solve" else ["verify", "tu"]
+    assert main(argv + ["--out", str(taken)]) == EXIT_USAGE
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_solve_missing_instance_file_exits_64(tmp_path):
     solve_cfg = tmp_path / "solve.json"
     write_json(solve_cfg, {
@@ -208,6 +250,10 @@ MALFORMED = {
     "sweep_q": ("sweep", dict(sweep_config([3], [2.0], 1), sweep={"q": 3, "r": [1], "c_sam": [2.0]})),
     "problem_list": ("generate", dict(QST_SOLVE_CONFIG, problem=[])),
     "sweep_list": ("sweep", dict(sweep_config([3], [2.0], 1), sweep=[])),
+    "sweep_q_string": ("sweep", dict(sweep_config([3], [2.0], 1), sweep={"q": "34", "r": [1], "c_sam": [2.0]})),
+    "record_truth_dist": ("solve", dict(QST_SOLVE_CONFIG, solver={"record_truth_dist": "no"})),
+    "seed_infinite": ("solve", dict(QST_SOLVE_CONFIG, seed=float("inf"))),  # written as Infinity
+    "max_iters_infinite": ("solve", dict(QST_SOLVE_CONFIG, solver={"max_iters": float("inf")})),
 }
 
 
@@ -220,15 +266,24 @@ def test_malformed_block_exits_64(tmp_path, capsys, name):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("problem", [{"c_sam": 0.0}, {"q": 5}], ids=["c_sam_too_small", "memory_guard"])
-def test_generator_errors_exit_1(tmp_path, monkeypatch, problem):
+QST_PROBLEM = QST_SOLVE_CONFIG["problem"]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [dict(QST_PROBLEM, c_sam=0.0), dict(QST_PROBLEM, q=5), dict(QST_PROBLEM, c_sam=1e308),
+     {"kind": "phase_retrieval", "n": 10**6, "sparsity": 1, "m": 10**10}],
+    ids=["c_sam_too_small", "memory_guard", "c_sam_overflow", "phase_retrieval_memory_guard"],
+)
+def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem):
     # A well-formed config the generator refuses is a numeric failure, not a
     # config error; the memory guard sees a computed size, nothing is allocated.
     monkeypatch.setattr("fpgd.problems._mem_available_bytes", lambda: 2**20)
-    doc = dict(QST_SOLVE_CONFIG, problem=dict(QST_SOLVE_CONFIG["problem"], **problem))
+    doc = dict(QST_SOLVE_CONFIG, problem=problem)
     cfg = tmp_path / "cfg.json"
     write_json(cfg, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_grid_row_count(tmp_path):
@@ -332,3 +387,69 @@ def test_fpgd_log_env_levels(tmp_path, monkeypatch, capsys):
         logging.getLogger().handlers.clear()  # let basicConfig reapply
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / level)]) == EXIT_OK
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: any JSON document maps to an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.floats(-3.0, 3.0) | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _block(keys, **plausible):
+    """A JSON object holding any of ``keys``, each an arbitrary small value or a plausible one."""
+    return st.fixed_dictionaries({}, optional={k: plausible.get(k, st.nothing()) | _values for k in keys})
+
+
+_problems = _block(
+    ["kind", "q", "r", "c_sam", "noise", "n", "sparsity", "m", "lam", "condition_number",
+     "ensemble_file", "companion_file"],
+    kind=st.sampled_from(["qst", "phase_retrieval", "synthetic", "files"]),
+    q=st.integers(1, 3), r=st.integers(1, 2), c_sam=st.floats(0.5, 3.0),
+)
+_solvers = _block(
+    ["algorithm", "max_iters", "tol", "step_size_constant", "step_mode", "record_truth_dist"],
+    algorithm=st.sampled_from(["projfgd", "fgd"]),
+    step_mode=st.sampled_from(["fixed_from_init", "adaptive_per_iter"]),
+    record_truth_dist=st.booleans(),
+)
+_grids = _block(
+    ["q", "r", "c_sam", "seeds", "noise"],
+    q=st.lists(st.integers(1, 3), max_size=3), r=st.lists(st.integers(1, 2), max_size=3),
+    c_sam=st.lists(st.floats(0.5, 3.0), max_size=3),
+)
+_configs = st.fixed_dictionaries({}, optional={
+    "seed": _values, "out": _values,
+    "problem": _problems | _values, "solver": _solvers | _values, "sweep": _grids | _values,
+})
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "generate"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_configs, seed=st.none() | st.integers(-2, 2))
+def test_config_fuzz_maps_to_an_exit_code(tmp_path, monkeypatch, command, doc, seed):
+    # The generators refuse every instance, so nothing is generated or solved:
+    # what is left is the config loader and the command plumbing around it.
+    def refuse(**_):
+        raise ValueError("generation disabled")
+
+    for name in ("gen_qst", "gen_phase_retrieval", "gen_synthetic"):
+        monkeypatch.setattr(f"fpgd.cli.{name}", refuse)
+    work = tmp_path / "work"  # relative instance paths resolve here, where no file exists
+    work.mkdir(exist_ok=True)
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, doc)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) in (EXIT_OK, EXIT_NUMERIC, EXIT_MAX_ITERS, EXIT_USAGE)

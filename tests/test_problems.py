@@ -8,6 +8,7 @@ from fpgd import problems
 from fpgd.linalg import factor_from_psd
 from fpgd.objective import MeasurementEnsemble, Objective, RankOne
 from fpgd.problems import (
+    ConstraintSet,
     ProblemInstance,
     frobenius_ball,
     gen_phase_retrieval,
@@ -135,6 +136,16 @@ def test_qst_pauli_strings_distinct():
     inst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=0.0, seed=4)
     strings = inst.meta["pauli_strings"]
     assert len(strings) == len(set(strings))
+
+
+def test_qst_operators_are_scaled_paulis_bit_for_bit():
+    # The stack is filled in place; every byte (signed zeros included) must
+    # equal scale * pauli_operator(q, s), the normalized kron product scaled.
+    inst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=0.0, seed=4)
+    ens = inst.objective.ensemble
+    scale = 8**1.5 / np.sqrt(ens.m)
+    expected = np.stack([scale * pauli_operator(3, s) for s in inst.meta["pauli_strings"]])
+    assert dense_stack(ens).tobytes() == expected.tobytes()
 
 
 def test_qst_rejects_oversampling():
@@ -279,6 +290,31 @@ def test_constraint_xi_semantics():
     assert out is outside and xi == 1.0
 
 
+@pytest.mark.parametrize("constraint", [unconstrained(), frobenius_ball(0.5), l1_ball(2.0)])
+def test_constraint_json_roundtrip(constraint):
+    doc = constraint.to_json_dict()
+    assert ConstraintSet.from_json_dict(doc) == constraint
+    assert ConstraintSet.from_json_dict(doc).to_json_dict() == doc
+
+
+def test_constraint_from_json_takes_faithfulness_from_kind():
+    # A companion file cannot declare the unfaithful l1 ball faithful.
+    loaded = ConstraintSet.from_json_dict({"kind": "l1_ball", "lam": 1.0, "faithful": True})
+    assert loaded == l1_ball(1.0) and not loaded.faithful
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"kind": "box", "lam": 1.0, "faithful": True},
+     {"kind": "frobenius_ball", "lam": 0.0, "faithful": True},
+     {"kind": "l1_ball", "lam": -1.0, "faithful": False}],
+    ids=["kind", "frobenius_lam", "l1_lam"],
+)
+def test_constraint_from_json_refuses_bad_kind_or_radius(doc):
+    with pytest.raises(ValueError):
+        ConstraintSet.from_json_dict(doc)
+
+
 @pytest.mark.parametrize("kind", ["qst", "synthetic", "phase_retrieval"])
 def test_instance_roundtrip(tmp_path, kind):
     if kind == "qst":
@@ -327,11 +363,11 @@ def test_synthetic_refuses_stack_beyond_available_memory(eight_gib_available):
 
 def test_memory_guard_passes_fitting_and_unknown_sizes(monkeypatch):
     monkeypatch.setattr(problems, "_mem_available_bytes", lambda: 16 * 50 * 8**2)
-    problems._require_stack_fits(50, 8, 16)  # exactly fits
-    with pytest.raises(ValueError):
-        problems._require_stack_fits(51, 8, 16)
+    problems._require_fits(16 * 50 * 8**2, "stack")  # exactly fits
+    with pytest.raises(ValueError, match="stack needs"):
+        problems._require_fits(16 * 51 * 8**2, "stack")
     monkeypatch.setattr(problems, "_mem_available_bytes", lambda: None)
-    problems._require_stack_fits(10**9, 4096, 16)  # unknown budget: no check
+    problems._require_fits(16 * 10**9 * 4096**2, "stack")  # unknown budget: no check
 
 
 def test_mem_available_bytes_reads_meminfo_or_none():

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from oracles import dense_projfgd_reference, dense_stack
 from test_golden import SOLVE_CASES
 
@@ -20,7 +21,9 @@ from fpgd.problems import (
     unconstrained,
 )
 from fpgd.solver import (
+    PROJFGD_STEP_CONSTANT,
     SolverConfig,
+    _adaptive_step,
     fgd_solve,
     init_point,
     projfgd_solve,
@@ -325,6 +328,55 @@ def test_adaptive_step_mode_converges():
     u, trace = projfgd_solve(inst, cfg)
     assert trace.status == "converged"
     assert procrustes_dist(u, inst.truth_factor) < 1e-3
+
+
+def _basis_factor(name):
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal((8, 3))
+    cplx = real + 1j * rng.standard_normal((8, 3))
+    return {
+        "real": real,
+        "complex": cplx,
+        "zero_column": np.column_stack([real[:, :2], np.zeros(8)]),
+        "repeated_column": np.column_stack([cplx[:, :2], cplx[:, 1]]),
+        "zero_factor": np.zeros((8, 3)),
+        "two_r_exceeds_n": cplx[:5],
+        "r_exceeds_n": real[:2],
+        "r_one": cplx[:, :1],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["real", "complex", "zero_column", "repeated_column", "zero_factor",
+     "two_r_exceeds_n", "r_exceeds_n", "r_one"],
+)
+def test_adaptive_step_basis_matches_scipy_orth(name):
+    # The step's Q_U against scipy.linalg.orth, the reference it replaced:
+    # same rank cut (column count) and the same projector Q Q^H to 1e-12.
+    class Recorder:
+        def adjoint_times(self, z, v):
+            self.v = v
+            return np.zeros_like(v)
+
+    u = _basis_factor(name)
+    ens = Recorder()
+    _adaptive_step(ens, 1.0, u, np.zeros(3), PROJFGD_STEP_CONSTANT)
+    q = ens.v[:, u.shape[1]:]
+    ref = scipy.linalg.orth(u)
+    assert q.shape == ref.shape
+    assert np.allclose(q @ q.conj().T, ref @ ref.conj().T, rtol=0.0, atol=1e-12)
+
+
+def test_adaptive_step_rejects_a_nan_factor():
+    class Unused:
+        def adjoint_times(self, z, v):
+            raise AssertionError("basis built from a NaN factor")
+
+    u = np.ones((4, 2))
+    u[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        _adaptive_step(Unused(), 1.0, u, np.zeros(3), PROJFGD_STEP_CONSTANT)
 
 
 def test_stopping_rule_is_spectral():
