@@ -1,12 +1,12 @@
 """Command-line front end: generate instances, run solves and sweeps,
 run verification suites.
 
-One JSON config document drives everything; numeric defaults mirror the
-solver defaults (C = 1/128, tol = 5e-6, noise 1e-3).  Exit codes:
-0 converged / all checks passed, 2 iteration budget exhausted, 1 numeric
+One JSON config document drives everything; a key it leaves out takes the
+library's default (``SolverConfig``'s fields, the ``gen_*`` signatures).  Exit
+codes: 0 converged / all checks passed, 2 iteration budget exhausted, 1 numeric
 failure, 64 malformed config (a solver block that SolverConfig rejects
-included), a missing input file, an output directory that names a file,
-or unknown suite.  Logging level comes from FPGD_LOG (error | info | debug).
+included), a missing or malformed instance file, an output directory that
+names a file, or unknown suite.  Logging level comes from FPGD_LOG (error | info | debug).
 """
 
 import argparse
@@ -89,25 +89,29 @@ def _require(doc, key, where, convert=None, default=_REQUIRED):
         raise ConfigError(f"invalid {key!r} in {where}: {value!r}") from exc
 
 
-def _object(value):
-    if not isinstance(value, dict):
-        raise TypeError("not a JSON object")
-    return value
+def _json_type(kind, name):
+    # A converter that passes only a value of that JSON type: a string is not a
+    # list of characters, and 0 is not false.
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not a JSON {name}")
+        return value
+
+    return check
+
+
+_object, _list, _bool = _json_type(dict, "object"), _json_type(list, "list"), _json_type(bool, "boolean")
 
 
 def _optional_float(value):
     return None if value is None else float(value)
 
 
-def _list(value):
-    if not isinstance(value, list):  # a string is not a list of characters
-        raise TypeError("not a JSON list")
-    return value
-
-
 def _seed_and_out(args, doc):
     # --seed and --out override the config's "seed" and "out" (created).
     seed = args.seed if args.seed is not None else _require(doc, "seed", "config", int, 0)
+    if seed < 0:  # else numpy's seeding refuses it later, as a generator error
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     out = Path(args.out) if args.out else _require(doc, "out", "config", Path, ".")
     out.mkdir(parents=True, exist_ok=True)
     return seed, out
@@ -115,35 +119,25 @@ def _seed_and_out(args, doc):
 
 def build_instance(problem, seed):
     # Parsing errors are ConfigErrors; the generators' own errors pass through.
-    def get(key, convert, default=_REQUIRED):
-        return _require(problem, key, "problem", convert, default)
+    def get(key, convert):
+        return _require(problem, key, "problem", convert)
+
+    def given(convert, **keywords):  # generator keyword -> problem key, for the keys set
+        return {kw: get(key, convert) for kw, key in keywords.items() if key in problem}
 
     kind = get("kind", None)
     if kind == "qst":
-        return gen_qst(
-            q=get("q", int),
-            r=get("r", int),
-            c_sam=get("c_sam", float),
-            noise_norm=get("noise", float, 1e-3),
-            seed=seed,
-        )
+        return gen_qst(q=get("q", int), r=get("r", int), c_sam=get("c_sam", float),
+                       seed=seed, **given(float, noise_norm="noise"))
     if kind == "phase_retrieval":
         return gen_phase_retrieval(
-            n=get("n", int),
-            sparsity=get("sparsity", int),
-            m=get("m", int),
-            noise_norm=get("noise", float, 0.0),
-            lam=get("lam", _optional_float, None),
-            seed=seed,
+            n=get("n", int), sparsity=get("sparsity", int), m=get("m", int), seed=seed,
+            **given(float, noise_norm="noise"), **given(_optional_float, lam="lam"),
         )
     if kind == "synthetic":
         return gen_synthetic(
-            n=get("n", int),
-            r=get("r", int),
-            m=get("m", int),
-            condition_number=get("condition_number", float, 2.0),
-            noise_norm=get("noise", float, 0.0),
-            seed=seed,
+            n=get("n", int), r=get("r", int), m=get("m", int), seed=seed,
+            **given(float, condition_number="condition_number", noise_norm="noise"),
         )
     if kind == "files":
         ensemble = get("ensemble_file", Path)
@@ -151,23 +145,22 @@ def build_instance(problem, seed):
         for p in (ensemble, companion):
             if not p.is_file():
                 raise FileNotFoundError(f"instance file not found (or not a file): {p}")
-        return ProblemInstance.load(ensemble, companion)
+        try:
+            return ProblemInstance.load(ensemble, companion)
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
+            raise ConfigError(f"malformed instance files {ensemble}, {companion}: {exc!r}") from exc
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def build_solver_config(solver, rank):
+    """The solver block as a ``SolverConfig`` and an algorithm name; only the
+    keys the block sets are passed, so the rest keep ``SolverConfig``'s defaults."""
+    keys = {"max_iters": int, "tol": float, "step_size_constant": _optional_float,
+            "step_mode": None, "record_truth_dist": _bool}
+    given = {key: _require(solver, key, "solver", convert) for key, convert in keys.items() if key in solver}
     try:
-        if not isinstance(solver.get("record_truth_dist", False), bool):
-            raise TypeError("record_truth_dist must be a JSON boolean")
-        cfg = SolverConfig(
-            rank=rank,
-            max_iters=int(solver.get("max_iters", 10000)),
-            tol=float(solver.get("tol", 5e-6)),
-            step_size_constant=_optional_float(solver.get("step_size_constant")),
-            step_mode=solver.get("step_mode", "fixed_from_init"),
-            record_truth_dist=solver.get("record_truth_dist", False),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        cfg = SolverConfig(rank=rank, **given)
+    except ValueError as exc:
         raise ConfigError(f"invalid solver block: {exc}") from exc
     algorithm = solver.get("algorithm", "projfgd")
     if algorithm not in ("projfgd", "fgd"):
@@ -177,6 +170,13 @@ def build_solver_config(solver, rank):
 
 def _status_exit(status):
     return {"converged": EXIT_OK, "max_iters": EXIT_MAX_ITERS}.get(status, EXIT_NUMERIC)
+
+
+def _solve_and_score(instance, cfg, algorithm):
+    """Solve ``instance`` at its own rank: the trace and the relative error of U U^H."""
+    solve = projfgd_solve if algorithm == "projfgd" else fgd_solve
+    u, trace = solve(instance, dataclasses.replace(cfg, rank=instance.rank))
+    return trace, relative_error(u @ u.conj().T, instance.truth_x)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +190,12 @@ def cmd_solve(args):
     # A bad solver block fails before the instance is generated.
     cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}), rank=1)
     instance = build_instance(_require(doc, "problem", "config", _object), seed)
-    cfg = dataclasses.replace(cfg, rank=instance.rank)
     log.info("solving %s instance (n=%d, m=%d) with %s",
              instance.meta.get("kind", "file"), instance.dim,
              instance.objective.ensemble.m, algorithm)
 
-    solve = projfgd_solve if algorithm == "projfgd" else fgd_solve
-    u, trace = solve(instance, cfg)
+    trace, rel = _solve_and_score(instance, cfg, algorithm)
     write_trace_csv(trace, out / "trace.csv")
-    rel = relative_error(u @ u.conj().T, instance.truth_x)
     summary = summary_dict(trace, final_rel_error=rel, tol=cfg.tol, seed=seed)
     write_summary_json(summary, out / "summary.json")
     log.info("status=%s iters=%d rel_error=%.3e", trace.status, trace.n_iters, rel)
@@ -213,19 +210,14 @@ def _cell_seed(root_seed, index):
 
 
 def _run_sweep_cell(payload):
-    q, r, c_sam, seed, noise, solver_json = payload
-    cell = {"q": q, "r": r, "c_sam": c_sam, "seed": seed}
+    problem, seed, cfg, algorithm = payload
+    cell = {"q": problem["q"], "r": problem["r"], "c_sam": problem["c_sam"], "seed": seed}
     try:
-        instance = gen_qst(q=q, r=r, c_sam=c_sam, noise_norm=noise, seed=seed)
-        cfg, algorithm = build_solver_config(json.loads(solver_json), rank=r)
-        solve = projfgd_solve if algorithm == "projfgd" else fgd_solve
-        u, trace = solve(instance, cfg)
-        rel = relative_error(u @ u.conj().T, instance.truth_x)
+        trace, rel = _solve_and_score(build_instance(problem, seed), cfg, algorithm)
         return dict(cell, iters=trace.n_iters, rel_error=rel,
                     elapsed_ms=trace.elapsed_ms, status=trace.status)
     except Exception as exc:  # failure is recorded in-row, sweep continues
-        log.error("sweep cell (q=%s, r=%s, c_sam=%s, seed=%s) failed: %s",
-                  q, r, c_sam, seed, exc)
+        log.error("sweep cell (q=%s, r=%s, c_sam=%s, seed=%s) failed: %s", *cell.values(), exc)
         return dict(cell, iters=-1, rel_error=float("nan"), elapsed_ms=float("nan"), status="error")
 
 
@@ -237,14 +229,14 @@ def cmd_sweep(args):
     rs = _require(grid, "r", "sweep", lambda vs: [int(v) for v in _list(vs)])
     c_sams = _require(grid, "c_sam", "sweep", lambda vs: [float(v) for v in _list(vs)])
     n_seeds = _require(grid, "seeds", "sweep", int, 1)
-    noise = _require(grid, "noise", "sweep", float, 1e-3)
-    solver_doc = _require(doc, "solver", "config", _object, {})
-    build_solver_config(solver_doc, rank=1)  # a bad block fails before any cell runs
-    solver_json = json.dumps(solver_doc)
+    noise = {"noise": _require(grid, "noise", "sweep", float)} if "noise" in grid else {}
+    # Checked once: a bad block fails before any cell runs.
+    cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}), rank=1)
 
     grid_order = itertools.product(qs, rs, c_sams, range(n_seeds))
     cells = [
-        (q, r, c_sam, _cell_seed(root_seed, index), noise, solver_json)
+        ({"kind": "qst", "q": q, "r": r, "c_sam": c_sam, **noise},
+         _cell_seed(root_seed, index), cfg, algorithm)
         for index, (q, r, c_sam, _) in enumerate(grid_order)
     ]
 
@@ -279,9 +271,7 @@ def cmd_verify(args):
     seed, out = _seed_and_out(args, {})
     report = run_suite(args.suite, seed=seed)
     path = out / f"report_{args.suite}.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_summary_json(report, path)
     print(json.dumps({"suite": args.suite, "violations": report["violations"],
                       "report": str(path)}, sort_keys=True))
     return EXIT_OK if report["violations"] == 0 else EXIT_NUMERIC

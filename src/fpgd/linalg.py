@@ -184,7 +184,7 @@ def project_frobenius_ball(v, lam):
     Returns ``(projected, xi)`` with xi = 1 for feasible input and
     xi = lam / ||v||_F otherwise.
     """
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValueError("lam must be positive")
     v = np.asarray(v)
     nrm = float(np.linalg.norm(v))
@@ -201,7 +201,7 @@ def project_l1_ball(v, lam):
     their phases (the modulus pattern is projected, a standard complex
     extension).
     """
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValueError("lam must be positive")
     v = np.asarray(v)
     mags = np.abs(v).ravel()

@@ -134,7 +134,7 @@ class MeasurementEnsemble:
             raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {ops.shape}")
         if y.shape != (ops.shape[0],):
             raise ValueError("y length must match the number of operators")
-        if noise_norm < 0:
+        if not noise_norm >= 0:  # NaN fails too
             raise ValueError("noise_norm must be non-negative")
         self.operator = (RankOne if ops.ndim == 2 else DenseStack)(ops)
         self.y = y

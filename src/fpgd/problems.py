@@ -99,13 +99,13 @@ def unconstrained():
 
 
 def frobenius_ball(lam):
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValueError("lam must be positive")
     return ConstraintSet("frobenius_ball", float(lam), True)
 
 
 def l1_ball(lam):
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValueError("lam must be positive")
     return ConstraintSet("l1_ball", float(lam), False)
 
@@ -150,6 +150,8 @@ class ProblemInstance:
             doc = json.load(fh)
         n = ensemble.dim
         rank = int(doc["rank"])
+        if rank < 1:  # reshaping to (n, -1) would accept -1
+            raise ValueError(f"rank must be positive, got {rank}")
         complex_field = ensemble.field == "complex"
         return cls(
             objective=Objective(ensemble),
@@ -343,7 +345,7 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
     rescaled to unit trace; operators (G + G^T) / (2 sqrt(m)) are
     near-isometric in expectation; constraint is the Frobenius unit ball.
     """
-    if condition_number < 1:
+    if not condition_number >= 1:  # NaN fails too
         raise ValueError("condition_number must be >= 1")
     if r > n:
         raise ValueError("rank must not exceed n")

@@ -59,8 +59,10 @@ class SolverConfig:
     record_truth_dist: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
         if self.step_size_constant is not None and not 0 < self.step_size_constant <= 1:
             raise ValueError("step size constant must lie in (0, 1]")
         if self.step_mode not in ("fixed_from_init", "adaptive_per_iter"):

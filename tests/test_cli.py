@@ -16,11 +16,15 @@ from fpgd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    build_instance,
+    build_solver_config,
     canonical_config_bytes,
     load_config,
     main,
     write_config,
 )
+from fpgd.problems import gen_qst
+from fpgd.solver import SolverConfig
 
 QST_SOLVE_CONFIG = {
     "command": "solve",
@@ -71,14 +75,65 @@ def test_malformed_config_exits_64(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"step_mode": "bogus"}, {"tol": 0.0}, {"step_size_constant": 1.5}],
-    ids=["step_mode", "tol", "step_size_constant"],
+    "bad", [{"step_mode": "bogus"}, {"tol": 0.0}, {"step_size_constant": 1.5}, {"tol": float("nan")}],
+    ids=["step_mode", "tol", "step_size_constant", "tol_nan"],
 )
 def test_invalid_solver_block_exits_64(tmp_path, bad):
     doc = dict(QST_SOLVE_CONFIG, solver=dict(QST_SOLVE_CONFIG["solver"], **bad))
     cfg = tmp_path / "cfg.json"
     write_json(cfg, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def test_empty_solver_block_is_the_library_default():
+    assert build_solver_config({}, rank=1) == (SolverConfig(rank=1), "projfgd")
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """Replace the three generators in ``fpgd.cli`` with recorders that refuse every
+    instance; returns the list of (name, keyword arguments) calls."""
+    calls = []
+
+    def recorder(name):
+        def record(**kwargs):
+            calls.append((name, kwargs))
+            raise ValueError("generation disabled")
+        return record
+
+    for name in ("gen_qst", "gen_phase_retrieval", "gen_synthetic"):
+        monkeypatch.setattr(f"fpgd.cli.{name}", recorder(name))
+    return calls
+
+
+@pytest.mark.parametrize("problem, name, passed", [
+    ({"kind": "qst", "q": 2, "r": 1, "c_sam": 3}, "gen_qst", {"q": 2, "r": 1, "c_sam": 3.0}),
+    ({"kind": "phase_retrieval", "n": 8, "sparsity": 2, "m": 16}, "gen_phase_retrieval",
+     {"n": 8, "sparsity": 2, "m": 16}),
+    ({"kind": "synthetic", "n": 4, "r": 1, "m": 8}, "gen_synthetic", {"n": 4, "r": 1, "m": 8}),
+    ({"kind": "qst", "q": 2, "r": 1, "c_sam": 3, "noise": 0}, "gen_qst",
+     {"q": 2, "r": 1, "c_sam": 3.0, "noise_norm": 0.0}),
+    ({"kind": "phase_retrieval", "n": 8, "sparsity": 2, "m": 16, "noise": 1, "lam": None},
+     "gen_phase_retrieval", {"n": 8, "sparsity": 2, "m": 16, "noise_norm": 1.0, "lam": None}),
+    ({"kind": "synthetic", "n": 4, "r": 1, "m": 8, "condition_number": 3}, "gen_synthetic",
+     {"n": 4, "r": 1, "m": 8, "condition_number": 3.0}),
+], ids=["qst", "phase_retrieval", "synthetic", "qst_noise", "phase_retrieval_noise_lam",
+        "synthetic_condition_number"])
+def test_generators_get_only_the_keys_the_problem_sets(generator_calls, problem, name, passed):
+    # A key the problem leaves out is not passed, so the generator's own default holds.
+    with pytest.raises(ValueError, match="generation disabled"):
+        build_instance(problem, seed=4)
+    assert generator_calls == [(name, dict(passed, seed=4))]
+
+
+def test_sweep_cells_get_only_the_keys_the_grid_sets(tmp_path, generator_calls):
+    doc = sweep_config([2], [3.0], 2)
+    del doc["sweep"]["noise"]
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, doc)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+    assert [sorted(kwargs) for _, kwargs in generator_calls] == [["c_sam", "q", "r", "seed"]] * 2
 
 
 def test_solve_checks_solver_block_before_generating(tmp_path, monkeypatch):
@@ -254,6 +309,7 @@ MALFORMED = {
     "record_truth_dist": ("solve", dict(QST_SOLVE_CONFIG, solver={"record_truth_dist": "no"})),
     "seed_infinite": ("solve", dict(QST_SOLVE_CONFIG, seed=float("inf"))),  # written as Infinity
     "max_iters_infinite": ("solve", dict(QST_SOLVE_CONFIG, solver={"max_iters": float("inf")})),
+    "seed_negative": ("solve", dict(QST_SOLVE_CONFIG, seed=-1)),
 }
 
 
@@ -266,16 +322,32 @@ def test_malformed_block_exits_64(tmp_path, capsys, name):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_option_exits_64(tmp_path, capsys, generator_calls):
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, sweep_config([2], [3.0], 1))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert generator_calls == [] and not (out / "sweep.csv").exists()
+
+
 QST_PROBLEM = QST_SOLVE_CONFIG["problem"]
+NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "problem",
-    [dict(QST_PROBLEM, c_sam=0.0), dict(QST_PROBLEM, q=5), dict(QST_PROBLEM, c_sam=1e308),
-     {"kind": "phase_retrieval", "n": 10**6, "sparsity": 1, "m": 10**10}],
-    ids=["c_sam_too_small", "memory_guard", "c_sam_overflow", "phase_retrieval_memory_guard"],
+    "problem, message",
+    [(dict(QST_PROBLEM, c_sam=0.0), "measurement count"),
+     (dict(QST_PROBLEM, q=5), "bytes available"),
+     (dict(QST_PROBLEM, c_sam=1e308), "measurement count"),
+     ({"kind": "phase_retrieval", "n": 10**6, "sparsity": 1, "m": 10**10}, "bytes available"),
+     (dict(QST_PROBLEM, noise=NAN), "noise_norm must be"),
+     ({"kind": "phase_retrieval", "n": 8, "sparsity": 2, "m": 16, "lam": NAN}, "lam must be"),
+     ({"kind": "synthetic", "n": 4, "r": 1, "m": 8, "condition_number": NAN}, "condition_number must be")],
+    ids=["c_sam_too_small", "memory_guard", "c_sam_overflow", "phase_retrieval_memory_guard",
+         "noise_nan", "lam_nan", "condition_number_nan"],
 )
-def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem):
+def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem, message):
     # A well-formed config the generator refuses is a numeric failure, not a
     # config error; the memory guard sees a computed size, nothing is allocated.
     monkeypatch.setattr("fpgd.problems._mem_available_bytes", lambda: 2**20)
@@ -283,7 +355,8 @@ def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, doc)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_sweep_grid_row_count(tmp_path):
@@ -436,14 +509,9 @@ _configs = st.fixed_dictionaries({}, optional={
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_configs, seed=st.none() | st.integers(-2, 2))
-def test_config_fuzz_maps_to_an_exit_code(tmp_path, monkeypatch, command, doc, seed):
+def test_config_fuzz_maps_to_an_exit_code(tmp_path, monkeypatch, generator_calls, command, doc, seed):
     # The generators refuse every instance, so nothing is generated or solved:
     # what is left is the config loader and the command plumbing around it.
-    def refuse(**_):
-        raise ValueError("generation disabled")
-
-    for name in ("gen_qst", "gen_phase_retrieval", "gen_synthetic"):
-        monkeypatch.setattr(f"fpgd.cli.{name}", refuse)
     work = tmp_path / "work"  # relative instance paths resolve here, where no file exists
     work.mkdir(exist_ok=True)
     monkeypatch.chdir(work)
@@ -453,3 +521,61 @@ def test_config_fuzz_maps_to_an_exit_code(tmp_path, monkeypatch, command, doc, s
     if seed is not None:
         argv += ["--seed", str(seed)]
     assert main(argv) in (EXIT_OK, EXIT_NUMERIC, EXIT_MAX_ITERS, EXIT_USAGE)
+
+
+# ---------------------------------------------------------------------------
+# instance-file fuzz: a malformed ensemble.json / instance.json maps to an exit code
+# ---------------------------------------------------------------------------
+
+_DROP = object()
+_INSTANCE_KEYS = (
+    [("ensemble.json", key) for key in ("dim", "field", "operators", "y", "noise_norm")]
+    + [("instance.json", key) for key in ("truth", "truth_factor", "constraint", "rank", "seed")]
+    + [("constraint", key) for key in ("kind", "lam", "faithful")]
+)
+
+
+def solve_mutated_instance(tmp_path, where, key, value):
+    """``fpgd solve`` on a saved q=1 QST instance whose ``key`` in ``where``
+    (a file name, or ``"constraint"``) is set to ``value`` or, for ``_DROP``, removed."""
+    gen_qst(q=1, r=1, c_sam=2.0).save(tmp_path / "ensemble.json", tmp_path / "instance.json")
+    path = tmp_path / ("ensemble.json" if where == "ensemble.json" else "instance.json")
+    doc = json.loads(path.read_text())
+    block = doc["constraint"] if where == "constraint" else doc
+    if value is _DROP:
+        del block[key]
+    else:
+        block[key] = value
+    write_json(path, doc)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {
+        "problem": {"kind": "files", "ensemble_file": str(tmp_path / "ensemble.json"),
+                    "companion_file": str(tmp_path / "instance.json")},
+        "solver": {"max_iters": 50},
+    })
+    return main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("constraint", "lam", None),
+    ("ensemble.json", "operators", 5),
+    ("instance.json", "rank", _DROP),
+    ("instance.json", "rank", -1),
+    ("ensemble.json", "dim", float("inf")),
+    ("ensemble.json", "operators", [[[0, 0], [1, 0], [0, 0], [0, 0]]] * 3),  # not Hermitian
+], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "not_hermitian"])
+def test_malformed_instance_file_exits_64_naming_it(tmp_path, capsys, where, key, value):
+    assert solve_mutated_instance(tmp_path, where, key, value) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(tmp_path / "ensemble.json") in err
+    assert str(tmp_path / "instance.json") in err and not (tmp_path / "out" / "summary.json").exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(_INSTANCE_KEYS), value=st.just(_DROP) | _values)
+def test_instance_file_fuzz_maps_to_an_exit_code(tmp_path, target, value):
+    # One top-level key of either file, or one constraint key, replaced by an
+    # arbitrary small value or dropped.
+    assert solve_mutated_instance(tmp_path, *target, value) in (
+        EXIT_OK, EXIT_NUMERIC, EXIT_MAX_ITERS, EXIT_USAGE)

@@ -5,7 +5,7 @@ import pytest
 from oracles import dense_stack
 
 from fpgd import problems
-from fpgd.linalg import factor_from_psd
+from fpgd.linalg import factor_from_psd, project_frobenius_ball, project_l1_ball
 from fpgd.objective import MeasurementEnsemble, Objective, RankOne
 from fpgd.problems import (
     ConstraintSet,
@@ -18,6 +18,7 @@ from fpgd.problems import (
     pauli_operator,
     unconstrained,
 )
+from fpgd.solver import SolverConfig
 
 SIGMA = {
     "0": np.eye(2, dtype=complex),
@@ -313,6 +314,28 @@ def test_constraint_from_json_takes_faithfulness_from_kind():
 def test_constraint_from_json_refuses_bad_kind_or_radius(doc):
     with pytest.raises(ValueError):
         ConstraintSet.from_json_dict(doc)
+
+
+NAN = float("nan")
+SIGN_CHECKS = {
+    "solver_tol": lambda: SolverConfig(rank=1, tol=NAN),
+    "solver_max_iters_negative": lambda: SolverConfig(rank=1, max_iters=-1),
+    "frobenius_ball": lambda: frobenius_ball(NAN),
+    "l1_ball": lambda: l1_ball(NAN),
+    "constraint_json": lambda: ConstraintSet.from_json_dict({"kind": "l1_ball", "lam": NAN}),
+    "project_frobenius_ball": lambda: project_frobenius_ball(np.ones((3, 1)), NAN),
+    "project_l1_ball": lambda: project_l1_ball(np.ones((3, 1)), NAN),
+    "ensemble_noise_norm": lambda: MeasurementEnsemble(np.eye(2)[None], [1.0], NAN),
+    "qst_noise_norm": lambda: gen_qst(q=1, r=1, c_sam=2.0, noise_norm=NAN),
+    "synthetic_condition_number": lambda: gen_synthetic(n=4, r=2, m=8, condition_number=NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_CHECKS))
+def test_sign_checks_refuse_nan(name):
+    # Written as ``not x > 0``: a NaN fails the check instead of slipping past ``x <= 0``.
+    with pytest.raises(ValueError, match="must be"):
+        SIGN_CHECKS[name]()
 
 
 @pytest.mark.parametrize("kind", ["qst", "synthetic", "phase_retrieval"])
