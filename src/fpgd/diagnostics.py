@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import procrustes_align, procrustes_dist, spectral_norm, trace_inner
+from .linalg import gaussian, procrustes_align, procrustes_dist, spectral_norm, trace_inner
 from .problems import frobenius_ball, gen_qst, gen_synthetic, unconstrained
 from .solver import (
     PROJFGD_STEP_CONSTANT,
@@ -149,9 +149,7 @@ def perturb_within_radius(instance, radius, rng, fraction=0.9):
     the requested ball.
     """
     u_star = instance.truth_factor
-    delta = rng.standard_normal(u_star.shape)
-    if np.iscomplexobj(u_star):
-        delta = delta + 1j * rng.standard_normal(u_star.shape)
+    delta = gaussian(rng, u_star.shape, np.iscomplexobj(u_star))
     delta *= fraction * radius / np.linalg.norm(delta)
     u0, _ = instance.constraint.project(u_star + delta)
     return u0
@@ -175,9 +173,7 @@ def check_descent_lemma(instance, trials=200, seed=0, radius=None):
                  "l_hat": obj.smoothness(), "seed": seed},
     )
     for _ in range(trials):
-        delta = rng.standard_normal(center.shape)
-        if np.iscomplexobj(center):
-            delta = delta + 1j * rng.standard_normal(center.shape)
+        delta = gaussian(rng, center.shape, np.iscomplexobj(center))
         delta *= rng.uniform(0.0, 1.0) * radius / np.linalg.norm(delta)
         point, _ = instance.constraint.project(center + delta)
         if procrustes_dist(point, instance.truth_factor) > radius:
@@ -457,14 +453,10 @@ def _suite_gradients(seed):
         n = obj.dim
         complex_field = obj.ensemble.field == "complex"
         for _ in range(10):
-            g = rng.standard_normal((n, n))
-            if complex_field:
-                g = g + 1j * rng.standard_normal((n, n))
+            g = gaussian(rng, (n, n), complex_field)
             x = 0.5 * (g + g.conj().T)
             rep_x.record(1e-6 - _rel_gap(fd_gradient(obj, x), obj.grad(x)), tol=0.0)
-            u = rng.standard_normal((n, inst.rank))
-            if complex_field:
-                u = u + 1j * rng.standard_normal((n, inst.rank))
+            u = gaussian(rng, (n, inst.rank), complex_field)
             rel_u = _rel_gap(fd_factored_gradient(obj, u) / 2.0, obj.factored_grad(u))
             rep_u.record(1e-6 - rel_u, tol=0.0)
     return [rep_x, rep_u]

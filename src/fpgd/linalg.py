@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "EigPair",
+    "gaussian",
     "is_hermitian",
     "require_hermitian",
     "trace_inner",
@@ -38,6 +39,12 @@ class EigPair(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def gaussian(rng, shape, complex_field):
+    """Standard normal draw; a complex field adds an imaginary part drawn after the real one."""
+    g = rng.standard_normal(shape)
+    return g + 1j * rng.standard_normal(shape) if complex_field else g
 
 
 def trace_inner(a, b):

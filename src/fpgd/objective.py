@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .linalg import require_hermitian
+from .linalg import gaussian, require_hermitian
 
 __all__ = ["DenseStack", "RankOne", "MeasurementEnsemble", "Objective", "empirical_rip"]
 
@@ -314,10 +314,7 @@ class Objective:
         complex_field = self.ensemble.field == "complex"
         best = np.inf
         for _ in range(_STRONG_CONVEXITY_TRIALS):
-            g = rng.standard_normal((n, rank))
-            if complex_field:
-                g = g + 1j * rng.standard_normal((n, rank))
-            q, _ = np.linalg.qr(g)
+            q, _ = np.linalg.qr(gaussian(rng, (n, rank), complex_field))
             s = rng.standard_normal(rank)
             d = (q * s) @ q.conj().T
             d /= np.linalg.norm(d)
@@ -341,9 +338,7 @@ def empirical_rip(ensemble, rank, trials=200, seed=0):
     complex_field = ensemble.field == "complex"
     ratios = np.empty(trials)
     for k in range(trials):
-        g = rng.standard_normal((n, rank))
-        if complex_field:
-            g = g + 1j * rng.standard_normal((n, rank))
+        g = gaussian(rng, (n, rank), complex_field)
         x = g @ g.conj().T
         x /= np.linalg.norm(x)
         ratios[k] = float(np.sum(ensemble.apply(x) ** 2))

@@ -2,8 +2,8 @@
 and synthetic matrix sensing, each with known ground truth.
 
 All generators are deterministic functions of their seed and return a
-ProblemInstance bundling the least-squares objective, the true matrix
-X* and a factor U* of it, and the factored-space constraint set.
+ProblemInstance bundling the least-squares objective, a factor U* of the
+true matrix X* = U* U*^H, and the factored-space constraint set.
 """
 
 import json
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import project_frobenius_ball, project_l1_ball
+from .linalg import gaussian, project_frobenius_ball, project_l1_ball
 from .objective import MeasurementEnsemble, Objective, _decode_array, _encode_array
 
 __all__ = [
@@ -50,7 +50,10 @@ class ConstraintSet:
 
     kind: str
     lam: float | None = None
-    faithful: bool = True
+
+    @property
+    def faithful(self):
+        return self.kind != "l1_ball"
 
     def project(self, v):
         """Project a factor; returns (projected, xi).
@@ -85,7 +88,7 @@ class ConstraintSet:
 
     @staticmethod
     def from_json_dict(doc):
-        # Through the constructors: faithful follows from kind, and lam is checked on load.
+        # Through the constructors, so lam is checked on load; a stored faithful is ignored.
         kind = doc["kind"]
         if kind == "unconstrained":
             return unconstrained()
@@ -95,34 +98,32 @@ class ConstraintSet:
 
 
 def unconstrained():
-    return ConstraintSet("unconstrained", None, True)
+    return ConstraintSet("unconstrained")
 
 
 def frobenius_ball(lam):
     if not lam > 0:  # NaN fails too
         raise ValueError("lam must be positive")
-    return ConstraintSet("frobenius_ball", float(lam), True)
+    return ConstraintSet("frobenius_ball", float(lam))
 
 
 def l1_ball(lam):
     if not lam > 0:  # NaN fails too
         raise ValueError("lam must be positive")
-    return ConstraintSet("l1_ball", float(lam), False)
+    return ConstraintSet("l1_ball", float(lam))
 
 
 @dataclass
 class ProblemInstance:
-    """A sensing problem with known ground truth.
+    """A sensing problem with known ground truth U*.
 
-    truth_x = truth_factor @ truth_factor^H up to 1e-10, and truth_factor
+    X* (``truth_x``) and the rank are derived from ``truth_factor``, which
     is feasible for ``constraint`` for the faithful generators.
     """
 
     objective: Objective
-    truth_x: np.ndarray
     truth_factor: np.ndarray
     constraint: ConstraintSet
-    rank: int
     seed: int
     meta: dict = field(default_factory=dict)
 
@@ -130,11 +131,20 @@ class ProblemInstance:
     def dim(self):
         return self.objective.dim
 
+    @property
+    def rank(self):
+        return self.truth_factor.shape[1]
+
+    @property
+    def truth_x(self):
+        """X* = U* U*^H, symmetrized so that it is exactly Hermitian."""
+        x = self.truth_factor @ self.truth_factor.conj().T
+        return 0.5 * (x + x.conj().T)
+
     def save(self, ensemble_path, companion_path):
-        """Write the ensemble JSON and the {truth, constraint, seed} companion."""
+        """Write the ensemble JSON and the {truth_factor, constraint, rank, seed} companion."""
         self.objective.ensemble.save(ensemble_path)
         doc = {
-            "truth": _encode_array(self.truth_x),
             "truth_factor": _encode_array(self.truth_factor),
             "constraint": self.constraint.to_json_dict(),
             "rank": int(self.rank),
@@ -145,6 +155,7 @@ class ProblemInstance:
 
     @classmethod
     def load(cls, ensemble_path, companion_path):
+        # The n x n "truth" key of older companions is ignored: X* follows from truth_factor.
         ensemble = MeasurementEnsemble.load(ensemble_path)
         with open(companion_path) as fh:
             doc = json.load(fh)
@@ -155,10 +166,8 @@ class ProblemInstance:
         complex_field = ensemble.field == "complex"
         return cls(
             objective=Objective(ensemble),
-            truth_x=_decode_array(doc["truth"], complex_field, (n, n)),
             truth_factor=_decode_array(doc["truth_factor"], complex_field, (n, rank)),
             constraint=ConstraintSet.from_json_dict(doc["constraint"]),
-            rank=rank,
             seed=int(doc["seed"]),
         )
 
@@ -247,19 +256,10 @@ def _scaled_noise(rng, m, noise_norm):
 def _observed_instance(ops, truth_factor, rng, noise_norm, constraint, seed, meta):
     # Shared generator tail: observe X* = U* U*^H through ``ops`` and add the
     # noise, drawn from ``rng`` after everything else.
-    truth_x = truth_factor @ truth_factor.conj().T
-    truth_x = 0.5 * (truth_x + truth_x.conj().T)
     ensemble = MeasurementEnsemble(ops, np.zeros(len(ops)), noise_norm)
-    ensemble.y = ensemble.apply(truth_x) + _scaled_noise(rng, ensemble.m, noise_norm)
-    return ProblemInstance(
-        objective=Objective(ensemble),
-        truth_x=truth_x,
-        truth_factor=truth_factor,
-        constraint=constraint,
-        rank=truth_factor.shape[1],
-        seed=seed,
-        meta=meta,
-    )
+    instance = ProblemInstance(Objective(ensemble), truth_factor, constraint, seed, meta)
+    ensemble.y = ensemble.apply(instance.truth_x) + _scaled_noise(rng, ensemble.m, noise_norm)
+    return instance
 
 
 def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
@@ -297,8 +297,7 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
         op = np.divide(pauli_operator(q, s, normalize=False), np.sqrt(2.0**q), out=ops[k])
         np.multiply(scale, op, out=op)
 
-    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    basis, _ = np.linalg.qr(g)
+    basis, _ = np.linalg.qr(gaussian(rng, (n, r), True))
     spectrum = rng.dirichlet(np.ones(r))
     spectrum = np.sort(spectrum)[::-1]
     truth_factor = basis * np.sqrt(spectrum)
@@ -325,10 +324,10 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
     rng = np.random.default_rng(seed)
     support = rng.choice(n, size=sparsity, replace=False)
     x = np.zeros(n, dtype=complex)
-    x[support] = rng.standard_normal(sparsity) + 1j * rng.standard_normal(sparsity)
+    x[support] = gaussian(rng, sparsity, True)
     x /= np.linalg.norm(x)
 
-    a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+    a = gaussian(rng, (m, n), True) / np.sqrt(2.0)
     if lam is None:
         lam = 1.2 * float(np.abs(x).sum())
     return _observed_instance(

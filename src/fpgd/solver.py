@@ -34,6 +34,7 @@ from .problems import unconstrained
 
 __all__ = [
     "SolverConfig",
+    "TRACE_COLUMNS",
     "SolveTrace",
     "init_point",
     "step_size",
@@ -47,6 +48,9 @@ __all__ = [
 PROJFGD_STEP_CONSTANT = 1.0 / 128.0
 FGD_STEP_CONSTANT = 1.0 / 16.0
 DEFAULT_TOL = 5e-6
+# One trace row per iteration: the CSV header, the callback's keys, and (with
+# "iter" held as ``iters``) the SolveTrace series, in this order.
+TRACE_COLUMNS = ("iter", "objective", "rel_change", "xi", "dist", "grad_norm")
 
 
 @dataclass
@@ -80,7 +84,7 @@ class SolveTrace:
     ||grad f(X_{t-1}) U_{t-1}||_F that produced the step.
     """
 
-    status: str = "max_iters"
+    status: str = "max_iters"  # until a stop rule in the loop sets another
     iters: list = field(default_factory=list)
     objective: list = field(default_factory=list)
     rel_change: list = field(default_factory=list)
@@ -96,6 +100,12 @@ class SolveTrace:
     def n_iters(self):
         return len(self.iters)
 
+    def append(self, row):
+        """Record one iteration's row, a dict keyed by TRACE_COLUMNS."""
+        self.iters.append(row["iter"])
+        for column in TRACE_COLUMNS[1:]:
+            getattr(self, column).append(row[column])
+
     def dist_series(self):
         """Distances including the initial point, for contraction fits."""
         return [self.initial_dist] + list(self.dist)
@@ -103,10 +113,9 @@ class SolveTrace:
 
 def _init(obj, constraint, r):
     # X_0 = (1/L_hat) Pi_+(-grad f(0)) and the projected top-r factor U_0 of it;
-    # the fixed step is taken at this X_0, not at U_0 U_0^H.
-    n = obj.dim
-    zero = np.zeros((n, n), dtype=obj.ensemble.dtype)
-    x0 = psd_project(-obj.grad(zero)) / obj.smoothness()
+    # the fixed step is taken at this X_0, not at U_0 U_0^H.  -grad f(0) = 2 A*(y).
+    ens = obj.ensemble
+    x0 = psd_project(ens.adjoint(2.0 * ens.y)) / obj.smoothness()
     u0, _ = constraint.project(factor_from_psd(x0, r))
     return x0, u0
 
@@ -217,23 +226,10 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
             else float("nan")
         )
 
-        trace.iters.append(t)
-        trace.objective.append(f_val)
-        trace.rel_change.append(rel_change)
-        trace.xi.append(xi)
-        trace.dist.append(dist)
-        trace.grad_norm.append(grad_norm)
+        row = dict(zip(TRACE_COLUMNS, (t, f_val, rel_change, xi, dist, grad_norm)))
+        trace.append(row)
         if callback is not None:
-            callback(
-                {
-                    "iter": t,
-                    "objective": f_val,
-                    "rel_change": rel_change,
-                    "xi": xi,
-                    "dist": dist,
-                    "grad_norm": grad_norm,
-                }
-            )
+            callback(row)
 
         u = u_next
         if not np.isfinite(f_val) or f_val > blowup:
@@ -242,8 +238,6 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
         if rel_change <= cfg.tol:
             trace.status = "converged"
             break
-    else:
-        trace.status = "max_iters"
 
     trace.elapsed_ms = 1e3 * (time.perf_counter() - t0)
     return u, trace
@@ -271,12 +265,12 @@ def _fmt(x):
 
 
 def write_trace_csv(trace, path):
-    """CSV with header iter,objective,rel_change,xi,dist,grad_norm.
+    """CSV with the TRACE_COLUMNS header and one line per iteration.
 
     The dist column is empty when the solve did not record distances
     to the ground truth.
     """
-    lines = ["iter,objective,rel_change,xi,dist,grad_norm"]
+    lines = [",".join(TRACE_COLUMNS)]
     for k in range(trace.n_iters):
         d = trace.dist[k]
         fields = [

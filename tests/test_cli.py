@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,8 +24,9 @@ from fpgd.cli import (
     main,
     write_config,
 )
+from fpgd.objective import _encode_array
 from fpgd.problems import gen_qst
-from fpgd.solver import SolverConfig
+from fpgd.solver import TRACE_COLUMNS, SolverConfig
 
 QST_SOLVE_CONFIG = {
     "command": "solve",
@@ -238,6 +240,30 @@ def test_generate_then_solve_from_files(tmp_path):
     assert main(["solve", "--config", str(solve_cfg), "--out", str(run)]) == EXIT_OK
     summary = json.loads((run / "summary.json").read_text())
     assert summary["final_rel_error"] <= 1e-3
+
+
+def test_solve_from_files_scores_against_the_truth_factor(tmp_path):
+    # X* is derived from truth_factor alone: a stale n x n "truth" in the
+    # companion (here I/n) is ignored, so the final error agrees with the
+    # trace's final factor distance d.  With V = U*,
+    # ||U U^H - V V^H||_F <= (2 ||V||_F + d) d.
+    inst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=1e-3, seed=1)
+    inst.save(tmp_path / "ensemble.json", tmp_path / "instance.json")
+    doc = json.loads((tmp_path / "instance.json").read_text())
+    doc["truth"] = _encode_array(np.eye(inst.dim, dtype=complex) / inst.dim)
+    write_json(tmp_path / "instance.json", doc)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {
+        "problem": {"kind": "files", "ensemble_file": str(tmp_path / "ensemble.json"),
+                    "companion_file": str(tmp_path / "instance.json")},
+        "solver": {"step_size_constant": 0.5, "record_truth_dist": True},
+    })
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    rel = json.loads((tmp_path / "out" / "summary.json").read_text())["final_rel_error"]
+    last = (tmp_path / "out" / "trace.csv").read_text().splitlines()[-1].split(",")
+    d = float(last[TRACE_COLUMNS.index("dist")])
+    v_norm = np.linalg.norm(inst.truth_factor)
+    assert 0.0 < rel <= (2.0 * v_norm + d) * d / np.linalg.norm(inst.truth_x)
 
 
 def test_solve_instance_file_that_is_a_directory_exits_64(tmp_path, capsys):
@@ -530,7 +556,7 @@ def test_config_fuzz_maps_to_an_exit_code(tmp_path, monkeypatch, generator_calls
 _DROP = object()
 _INSTANCE_KEYS = (
     [("ensemble.json", key) for key in ("dim", "field", "operators", "y", "noise_norm")]
-    + [("instance.json", key) for key in ("truth", "truth_factor", "constraint", "rank", "seed")]
+    + [("instance.json", key) for key in ("truth_factor", "constraint", "rank", "seed")]
     + [("constraint", key) for key in ("kind", "lam", "faithful")]
 )
 

@@ -180,7 +180,7 @@ def test_xi_bound_rejects_other_constraints():
 
     inst = well_conditioned_instance(12)
     free = ProblemInstance(
-        inst.objective, inst.truth_x, inst.truth_factor, unconstrained(), 2, 12
+        inst.objective, inst.truth_factor, unconstrained(), 12
     )
     with pytest.raises(ValueError):
         check_xi_bound(free)

@@ -129,12 +129,21 @@ def test_outputs_match_golden_files(command, name, doc, tmp_path):
 
 
 def write_fixtures(root):
+    """Rewrite every fixture under ``root``; prints each one whose bytes
+    changed (or that is new) and the count of unchanged ones."""
+    unchanged = 0
     for command, name, doc in ALL_CASES:
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run_case(command, doc, tmp)
         (Path(root) / name).mkdir(parents=True, exist_ok=True)
         for file_name, data in outputs.items():
-            (Path(root) / name / file_name).write_bytes(data)
+            path = Path(root) / name / file_name
+            if path.is_file() and path.read_bytes() == data:
+                unchanged += 1
+                continue
+            print(f"rewrote {name}/{file_name}")
+            path.write_bytes(data)
+    print(f"{unchanged} fixtures unchanged")
 
 
 if __name__ == "__main__":

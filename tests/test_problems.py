@@ -1,12 +1,15 @@
 """Problem generators: Pauli operators, QST, phase retrieval, synthetic."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from oracles import dense_stack
 
 from fpgd import problems
 from fpgd.linalg import factor_from_psd, project_frobenius_ball, project_l1_ball
-from fpgd.objective import MeasurementEnsemble, Objective, RankOne
+from fpgd.objective import MeasurementEnsemble, Objective, RankOne, _decode_array, _encode_array
 from fpgd.problems import (
     ConstraintSet,
     ProblemInstance,
@@ -304,6 +307,16 @@ def test_constraint_from_json_takes_faithfulness_from_kind():
     assert loaded == l1_ball(1.0) and not loaded.faithful
 
 
+def test_constraint_faithfulness_is_derived_not_stored():
+    # Only kind and lam are fields: no caller can declare the l1 ball faithful.
+    assert [f.name for f in dataclasses.fields(ConstraintSet)] == ["kind", "lam"]
+    with pytest.raises(TypeError):
+        ConstraintSet("l1_ball", 1.0, True)
+    assert not ConstraintSet("l1_ball", 1.0).faithful
+    assert ConstraintSet("frobenius_ball", 1.0).faithful and unconstrained().faithful
+    assert l1_ball(1.0).to_json_dict() == {"kind": "l1_ball", "lam": 1.0, "faithful": False}
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"kind": "box", "lam": 1.0, "faithful": True},
@@ -357,6 +370,31 @@ def test_instance_roundtrip(tmp_path, kind):
     assert back.constraint == inst.constraint
     x = inst.truth_x
     assert back.objective.value(x) == inst.objective.value(x)
+
+
+def test_instance_derives_truth_x_and_rank_from_the_factor():
+    names = [f.name for f in dataclasses.fields(ProblemInstance)]
+    assert names == ["objective", "truth_factor", "constraint", "seed", "meta"]
+    inst = gen_synthetic(n=6, r=2, m=20, condition_number=2.0, noise_norm=0.0, seed=13)
+    assert inst.rank == 2
+    assert inst.objective.value(inst.truth_x) == 0.0
+
+
+def test_companion_has_no_truth_and_old_companions_still_load(tmp_path):
+    inst = gen_qst(q=3, r=2, c_sam=1.5, noise_norm=1e-3, seed=13)
+    ens_path = tmp_path / "ensemble.json"
+    comp_path = tmp_path / "instance.json"
+    inst.save(ens_path, comp_path)
+    doc = json.loads(comp_path.read_text())
+    assert "truth" not in doc
+    # Older companions also stored X* = U* U*^H, symmetrized, as an n x n "truth";
+    # the X* derived on load is bit-equal to it.
+    x = inst.truth_factor @ inst.truth_factor.conj().T
+    doc["truth"] = _encode_array(0.5 * (x + x.conj().T))
+    comp_path.write_text(json.dumps(doc))
+    back = ProblemInstance.load(ens_path, comp_path)
+    stored = _decode_array(doc["truth"], True, (inst.dim, inst.dim))
+    assert back.truth_x.tobytes() == stored.tobytes()
 
 
 # ---------------------------------------------------------------------------

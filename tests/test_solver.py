@@ -22,6 +22,7 @@ from fpgd.problems import (
 )
 from fpgd.solver import (
     PROJFGD_STEP_CONSTANT,
+    TRACE_COLUMNS,
     SolverConfig,
     _adaptive_step,
     fgd_solve,
@@ -39,10 +40,8 @@ def scalar_instance(y_value, constraint=None):
     truth = np.array([[abs(float(y_value))]])
     return ProblemInstance(
         objective=Objective(ens),
-        truth_x=truth,
         truth_factor=np.sqrt(truth),
         constraint=constraint or unconstrained(),
-        rank=1,
         seed=0,
     )
 
@@ -145,7 +144,7 @@ def test_fgd_single_hand_computed_iteration():
 def test_fgd_equals_projfgd_when_unconstrained():
     inst = gen_synthetic(n=8, r=2, m=60, condition_number=2.0, noise_norm=1e-3, seed=3)
     free = ProblemInstance(
-        inst.objective, inst.truth_x, inst.truth_factor, unconstrained(), 2, 3
+        inst.objective, inst.truth_factor, unconstrained(), 3
     )
     cfg_p = SolverConfig(rank=2, max_iters=200, tol=1e-8, step_size_constant=1.0 / 16.0)
     cfg_f = SolverConfig(rank=2, max_iters=200, tol=1e-8)
@@ -169,7 +168,7 @@ def test_projfgd_iterates_feasible():
 def test_xi_one_when_feasible():
     inst = gen_synthetic(n=8, r=2, m=60, condition_number=2.0, noise_norm=0.0, seed=5)
     free = ProblemInstance(
-        inst.objective, inst.truth_x, inst.truth_factor, unconstrained(), 2, 5
+        inst.objective, inst.truth_factor, unconstrained(), 5
     )
     cfg = SolverConfig(rank=2, max_iters=50, tol=1e-10)
     _, trace = projfgd_solve(free, cfg)
@@ -457,3 +456,8 @@ def test_trace_callback_stream():
     assert len(seen) == trace.n_iters
     assert [rec["iter"] for rec in seen] == trace.iters
     assert [rec["objective"] for rec in seen] == trace.objective
+    # Every callback row is the trace row, on all six columns (nan dist included).
+    assert all(tuple(rec) == TRACE_COLUMNS for rec in seen)
+    series = (trace.iters, trace.objective, trace.rel_change, trace.xi, trace.dist, trace.grad_norm)
+    for column, values in zip(TRACE_COLUMNS, series, strict=True):
+        np.testing.assert_array_equal([rec[column] for rec in seen], values)
