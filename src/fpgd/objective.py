@@ -1,10 +1,11 @@
 """Least-squares sensing objectives f(X) = ||A(X) - y||_2^2.
 
 A measurement ensemble is a list of Hermitian operators E_i, held in
-one of two storage forms (``DenseStack``: the (m, n, n) stack;
-``RankOne``: the (m, n) sensing vectors of E_i = a_i a_i^H), with
-observations y_i.  The forward map is (A(X))_i = Re trace(E_i X), the
-adjoint is A*(z) = sum_i z_i E_i, and the gradient convention is
+one of two storage forms (``DenseStack``: each E_i packed into a row of
+its n^2 real degrees of freedom, n(n+1)/2 for a real field; ``RankOne``:
+the (m, n) sensing vectors of E_i = a_i a_i^H), with observations y_i.
+The forward map is (A(X))_i = Re trace(E_i X), the adjoint is
+A*(z) = sum_i z_i E_i, and the gradient convention is
 
     grad f(X) = 2 A*(A(X) - y),
 
@@ -54,24 +55,86 @@ def _decode_array(doc, complex_field, shape):
     return arr.reshape(shape)
 
 
+def _packed_width(n, complex_field):
+    # Real degrees of freedom of an n x n Hermitian (n^2) or real symmetric (n(n+1)/2) matrix.
+    return n * n if complex_field else n * (n + 1) // 2
+
+
 class DenseStack:
-    """Storage form: the (m, n, n) stack of Hermitian operators E_i."""
+    """Storage form: each Hermitian E_i packed into one real row of its
+    degrees of freedom, ``diag(E)``, ``Re E[iu]``, ``Im E[iu]`` (complex
+    field, n^2 reals) or ``diag(E)``, ``E[iu]`` (real field, n(n+1)/2
+    reals), with ``iu`` the strict upper triangle.
+
+    ``operators`` is any iterable of the m n x n matrices; each is checked
+    Hermitian as it is packed, so the (m, n, n) stack need never exist.
+    """
 
     json_key = "operators"
 
-    def __init__(self, stack):
-        for k in range(stack.shape[0]):
-            require_hermitian(stack[k], what=f"operator {k}")
-        self.array = stack
-        self.nbytes = stack.nbytes
-        self.dtype = stack.dtype
+    def __init__(self, operators, m, n, complex_field):
+        self.dim = n
+        self.dtype = np.dtype(complex if complex_field else float)
+        self.array = np.empty((m, _packed_width(n, complex_field)))
+        self.nbytes = self.array.nbytes
+        # _pack: where each packed entry sits in a matrix (in the float view
+        # for a complex field); _unpack: the entry of the packed row each slot
+        # of the matrix takes, the row extended by [-Im part, 0] when complex.
+        rows, cols = np.triu_indices(n, 1)
+        t = len(rows)
+        pos = np.concatenate((np.arange(n) * (n + 1), rows * n + cols))
+        idx = np.zeros((n, n), dtype=np.intp)
+        idx.flat[pos] = np.arange(n + t)
+        idx += np.triu(idx, 1).T  # E_kj takes the entry of E_jk
+        if complex_field:
+            self._pack = np.concatenate((2 * pos, 2 * pos[n:] + 1))
+            imag = np.where(np.tri(n, k=-1, dtype=bool), idx + 2 * t, idx + t)
+            np.fill_diagonal(imag, n + 3 * t)
+            self._unpack = np.stack((idx, imag), axis=-1).ravel()
+        else:
+            self._pack = pos
+            self._unpack = idx.ravel()
+        for k, op in zip(range(m), operators, strict=True):
+            require_hermitian(op, what=f"operator {k}")
+            np.take(self._flat(op), self._pack, out=self.array[k])
+
+    @staticmethod
+    def footprint(m, n, complex_field):
+        """Bytes of the packed rows of m operators of order n."""
+        return 8 * m * _packed_width(n, complex_field)
+
+    @property
+    def m(self):
+        return self.array.shape[0]
+
+    def _flat(self, x):
+        # The entries of x in the layout _pack indexes.
+        if self.dtype.kind == "c":
+            return np.ascontiguousarray(x, dtype=complex).view(float)
+        return np.real(x)
+
+    def _unpacked(self, w):
+        # The n x n matrix of the packed entries w: exactly Hermitian, real diagonal.
+        n = self.dim
+        if self.dtype.kind != "c":
+            return np.take(w, self._unpack).reshape(n, n)
+        # Im E_kj = 0 - Im E_jk (a zero stays +0), and Im E_jj = 0.
+        w = np.concatenate((w, np.subtract(0.0, w[n * (n + 1) // 2:]), [0.0]))
+        return np.take(w, self._unpack).view(complex).reshape(n, n)
 
     def apply(self, x):
-        # Re trace(E_i X) = Re(vec E_i . conj vec X) for Hermitian E_i and any X.
-        return np.real(self.array.reshape(len(self.array), -1) @ x.conj().ravel())
+        # Re tr(E X) = sum_j E_jj Re X_jj + sum_{j<k} Re E_jk (Re X_jk + Re X_kj)
+        #   + Im E_jk (Im X_jk - Im X_kj) for Hermitian E and any X, and
+        # H = X + X^H holds those sums, with 2 Re X_jj on its diagonal.
+        p = np.take(self._flat(x + x.conj().T), self._pack)
+        p[: self.dim] *= 0.5
+        return self.array @ p
 
     def adjoint(self, z):
-        return (z @ self.array.reshape(len(self.array), -1)).reshape(self.array.shape[1:])
+        return self._unpacked(z @ self.array)
+
+    def json_rows(self):
+        return [_encode_array(self._unpacked(row)) for row in self.array]
 
 
 class RankOne:
@@ -84,6 +147,22 @@ class RankOne:
         self.array = vectors
         self.nbytes = vectors.nbytes
         self.dtype = vectors.dtype
+
+    @staticmethod
+    def footprint(m, n, complex_field):
+        """Bytes of m sensing vectors of length n."""
+        return (16 if complex_field else 8) * m * n
+
+    @property
+    def m(self):
+        return self.array.shape[0]
+
+    @property
+    def dim(self):
+        return self.array.shape[1]
+
+    def json_rows(self):
+        return [_encode_array(a) for a in self.array]
 
     def apply(self, x):
         # Re(a_i^H X a_i) = Re(conj(X a_i) . a_i): one matrix product for the
@@ -121,32 +200,38 @@ class MeasurementEnsemble:
     ----------
     operators : (m, n, n) array of Hermitian matrices E_i, kept in
         ``operator`` as a ``DenseStack``, or (m, n) array of sensing vectors
-        a_i for the rank-one E_i = a_i a_i^H, kept as a ``RankOne``.
+        a_i for the rank-one E_i = a_i a_i^H, kept as a ``RankOne``; or a
+        storage form itself.
     y : (m,) real observations.
     noise_norm : l2 norm of the additive noise used to produce ``y``
         (0 for noiseless data); carried as metadata.
     """
 
     def __init__(self, operators, y, noise_norm=0.0):
-        ops = np.ascontiguousarray(operators)
         y = np.asarray(y, dtype=float)
-        if ops.ndim != 2 and (ops.ndim != 3 or ops.shape[1] != ops.shape[2]):
-            raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {ops.shape}")
-        if y.shape != (ops.shape[0],):
-            raise ValueError("y length must match the number of operators")
         if not noise_norm >= 0:  # NaN fails too
             raise ValueError("noise_norm must be non-negative")
-        self.operator = (RankOne if ops.ndim == 2 else DenseStack)(ops)
+        if not isinstance(operators, (DenseStack, RankOne)):
+            ops = np.ascontiguousarray(operators)
+            if ops.ndim != 2 and (ops.ndim != 3 or ops.shape[1] != ops.shape[2]):
+                raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {ops.shape}")
+            if ops.ndim == 2:
+                operators = RankOne(ops)
+            else:
+                operators = DenseStack(ops, len(ops), ops.shape[1], np.iscomplexobj(ops))
+        if y.shape != (operators.m,):
+            raise ValueError("y length must match the number of operators")
+        self.operator = operators
         self.y = y
         self.noise_norm = float(noise_norm)
 
     @property
     def m(self):
-        return self.operator.array.shape[0]
+        return self.operator.m
 
     @property
     def dim(self):
-        return self.operator.array.shape[1]
+        return self.operator.dim
 
     @property
     def dtype(self):
@@ -206,7 +291,7 @@ class MeasurementEnsemble:
         return {
             "dim": int(self.dim),
             "field": self.field,
-            self.operator.json_key: [_encode_array(op) for op in self.operator.array],
+            self.operator.json_key: self.operator.json_rows(),
             "y": _encode_array(self.y),
             "noise_norm": self.noise_norm,
         }

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import gaussian, project_frobenius_ball, project_l1_ball
-from .objective import MeasurementEnsemble, Objective, _decode_array, _encode_array
+from .objective import DenseStack, MeasurementEnsemble, Objective, RankOne, _decode_array, _encode_array
 
 __all__ = [
     "ConstraintSet",
@@ -253,10 +253,10 @@ def _scaled_noise(rng, m, noise_norm):
     return eta * (noise_norm / np.linalg.norm(eta))
 
 
-def _observed_instance(ops, truth_factor, rng, noise_norm, constraint, seed, meta):
-    # Shared generator tail: observe X* = U* U*^H through ``ops`` and add the
-    # noise, drawn from ``rng`` after everything else.
-    ensemble = MeasurementEnsemble(ops, np.zeros(len(ops)), noise_norm)
+def _observed_instance(operator, truth_factor, rng, noise_norm, constraint, seed, meta):
+    # Shared generator tail: observe X* = U* U*^H through the storage form
+    # ``operator`` and add the noise, drawn from ``rng`` after everything else.
+    ensemble = MeasurementEnsemble(operator, np.zeros(operator.m), noise_norm)
     instance = ProblemInstance(Objective(ensemble), truth_factor, constraint, seed, meta)
     ensemble.y = ensemble.apply(instance.truth_x) + _scaled_noise(rng, ensemble.m, noise_norm)
     return instance
@@ -286,16 +286,20 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     if not 0.5 < samples < np.inf:  # rounds to at least one measurement, and is finite
         raise ValueError(f"c_sam={c_sam!r} gives no finite, positive measurement count")
     m = int(round(samples))
-    _require_fits(16 * m * n * n, f"dense operator stack of {m} x {n} x {n}")
+    _require_fits(DenseStack.footprint(m, n, True), f"{m} packed {n} x {n} operators")
     rng = np.random.default_rng(seed)
     strings = _sample_distinct_paulis(q, m, rng)
     scale = n**1.5 / np.sqrt(m)
-    ops = np.empty((m, n, n), dtype=complex)  # filled in place: one stack in memory
-    # Written in place: two more n x n temporaries per operator made the allocator
-    # return and refault heap pages each time (~96 faults per operator at q=7).
-    for k, s in enumerate(strings):
-        op = np.divide(pauli_operator(q, s, normalize=False), np.sqrt(2.0**q), out=ops[k])
-        np.multiply(scale, op, out=op)
+    buf = np.empty((n, n), dtype=complex)
+
+    def scaled_paulis():
+        # Written in place: two more n x n temporaries per operator made the allocator
+        # return and refault heap pages each time (~96 faults per operator at q=7).
+        for s in strings:
+            op = np.divide(pauli_operator(q, s, normalize=False), np.sqrt(2.0**q), out=buf)
+            yield np.multiply(scale, op, out=op)
+
+    ops = DenseStack(scaled_paulis(), m, n, True)  # packed one by one: no (m, n, n) stack
 
     basis, _ = np.linalg.qr(gaussian(rng, (n, r), True))
     spectrum = rng.dirichlet(np.ones(r))
@@ -320,7 +324,7 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
         raise ValueError("sparsity must not exceed n")
     if m < 1:
         raise ValueError("need at least one measurement")
-    _require_fits(16 * m * n, f"{m} x {n} sensing vectors")
+    _require_fits(RankOne.footprint(m, n, True), f"{m} x {n} sensing vectors")
     rng = np.random.default_rng(seed)
     support = rng.choice(n, size=sparsity, replace=False)
     x = np.zeros(n, dtype=complex)
@@ -331,7 +335,7 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
     if lam is None:
         lam = 1.2 * float(np.abs(x).sum())
     return _observed_instance(
-        a, x[:, None], rng, noise_norm, l1_ball(lam), seed,
+        RankOne(a), x[:, None], rng, noise_norm, l1_ball(lam), seed,
         meta={"kind": "phase_retrieval", "sparsity": sparsity},
     )
 
@@ -350,10 +354,17 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
         raise ValueError("rank must not exceed n")
     if m < 1:
         raise ValueError("need at least one measurement")
-    _require_fits(8 * m * n * n, f"dense operator stack of {m} x {n} x {n}")
+    _require_fits(DenseStack.footprint(m, n, False), f"{m} packed {n} x {n} operators")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, n, n))
-    ops = (g + np.transpose(g, (0, 2, 1))) / (2.0 * np.sqrt(m))
+    denom = 2.0 * np.sqrt(m)
+
+    def symmetrized_gaussians():
+        # One (n, n) draw per operator takes the normals of one (m, n, n) draw, in order.
+        for _ in range(m):
+            g = rng.standard_normal((n, n))
+            yield (g + g.T) / denom
+
+    ops = DenseStack(symmetrized_gaussians(), m, n, False)
 
     basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
     if r == 1:

@@ -118,12 +118,12 @@ def grid_l1_project(v, lam, rounds=6):
 
 
 def dense_stack(ens):
-    """The (m, n, n) operator stack of ``ens``: a dense stack as stored, or
-    the rank-one E_i = a_i a_i^H built from the sensing vectors a_i."""
-    a = ens.operator.array
+    """The (m, n, n) operator stack of ``ens``: E_k = A*(e_k) for a dense
+    ensemble, or the rank-one E_i = a_i a_i^H built from the sensing vectors a_i."""
     if isinstance(ens.operator, RankOne):
+        a = ens.operator.array
         return np.einsum("mi,mj->mij", a, a.conj())
-    return a
+    return np.stack([ens.adjoint(e) for e in np.eye(ens.m)])
 
 
 def _dense_spectral_norm(x):

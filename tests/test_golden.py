@@ -93,10 +93,29 @@ def _relative_gap(new, old):
     return gap if np.isfinite(gap) else float("inf")
 
 
+def _numbers(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    else:
+        yield value
+
+
 def describe_difference(file_name, data, golden):
     """What a failed byte comparison changed: for a trace, both iteration
     counts and the worst relative difference per column; for a summary,
-    the keys whose values differ."""
+    the keys whose values differ; for the generated files, the worst
+    relative difference of each key that changed."""
+    if file_name in ("ensemble.json", "instance.json"):
+        new, old = json.loads(data), json.loads(golden)
+        changed = [key for key in sorted(set(new) | set(old)) if new.get(key) != old.get(key)]
+        return "; ".join(
+            f"{key} worst relative difference "
+            f"{max(map(_relative_gap, _numbers(new[key]), _numbers(old[key])), default=0.0):.3g}"
+            if isinstance(new.get(key), list) and isinstance(old.get(key), list)
+            else f"{key} differs"
+            for key in changed
+        )
     if file_name == "summary.json":
         new, old = json.loads(data), json.loads(golden)
         return "; ".join(
@@ -130,7 +149,7 @@ def test_outputs_match_golden_files(command, name, doc, tmp_path):
 
 def write_fixtures(root):
     """Rewrite every fixture under ``root``; prints each one whose bytes
-    changed (or that is new) and the count of unchanged ones."""
+    changed, with what changed, each new one, and the count of unchanged ones."""
     unchanged = 0
     for command, name, doc in ALL_CASES:
         with tempfile.TemporaryDirectory() as tmp:
@@ -138,10 +157,14 @@ def write_fixtures(root):
         (Path(root) / name).mkdir(parents=True, exist_ok=True)
         for file_name, data in outputs.items():
             path = Path(root) / name / file_name
-            if path.is_file() and path.read_bytes() == data:
-                unchanged += 1
-                continue
-            print(f"rewrote {name}/{file_name}")
+            if path.is_file():
+                old = path.read_bytes()
+                if old == data:
+                    unchanged += 1
+                    continue
+                print(f"rewrote {name}/{file_name}: {describe_difference(file_name, data, old)}")
+            else:
+                print(f"wrote {name}/{file_name}")
             path.write_bytes(data)
     print(f"{unchanged} fixtures unchanged")
 

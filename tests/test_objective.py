@@ -264,7 +264,7 @@ def test_ensemble_json_needs_exactly_one_form_key(keys):
 
 
 def test_operator_nbytes_is_the_stored_array():
-    # The bytes an ensemble holds: the stored stack or vectors, plus y.
+    # The bytes an ensemble holds: the packed rows or the vectors, plus y.
     pr = gen_phase_retrieval(n=96, sparsity=6, m=768, noise_norm=0.0, seed=0).objective.ensemble
     assert isinstance(pr.operator, RankOne)
     assert pr.operator.nbytes == pr.operator.array.nbytes == 768 * 96 * 16
@@ -272,5 +272,5 @@ def test_operator_nbytes_is_the_stored_array():
     assert pr.operator.dtype == np.dtype(complex)
     dense = gen_synthetic(n=6, r=2, m=20, seed=0).objective.ensemble
     assert isinstance(dense.operator, DenseStack)
-    assert dense.operator.nbytes == dense.operator.array.nbytes == 20 * 6 * 6 * 8
+    assert dense.operator.nbytes == dense.operator.array.nbytes == 20 * 21 * 8  # n(n+1)/2 reals each
     assert dense.operator.dtype == np.dtype(float)

@@ -408,18 +408,28 @@ def eight_gib_available(monkeypatch):
 
 
 def test_qst_refuses_stack_beyond_available_memory(eight_gib_available):
-    # q=12: m = round(3 * 4096 * ln 4096) Pauli operators of 4096^2 complex entries
+    # q=12: m = round(3 * 4096 * ln 4096) Pauli operators of 4096^2 real degrees of freedom
     m = int(round(3.0 * 4096 * np.log(4096)))
-    need = 16 * m * 4096**2
-    assert need > 20 * 2**40  # ~27 TB
+    need = 8 * m * 4096**2
+    assert need > 10 * 2**40  # ~13.7 TB
     with pytest.raises(ValueError, match=f"needs {need} bytes"):
         gen_qst(q=12, r=1, c_sam=3.0, seed=0)
 
 
 def test_synthetic_refuses_stack_beyond_available_memory(eight_gib_available):
-    need = 8 * 100_000 * 1024**2
+    need = 8 * 100_000 * (1024 * 1025 // 2)  # n(n+1)/2 reals per symmetric operator
     with pytest.raises(ValueError, match=f"needs {need} bytes"):
         gen_synthetic(n=1024, r=1, m=100_000, seed=0)
+
+
+def test_qst_guard_counts_the_packed_rows(monkeypatch):
+    # q=5, m = round(3 * 32 * ln 32) = 333: 8 * 333 * 32^2 = 2727936 bytes packed,
+    # which fits 4 MiB; the complex (m, n, n) stack (5455872 bytes) would not.
+    monkeypatch.setattr(problems, "_mem_available_bytes", lambda: 4 * 2**20)
+    assert gen_qst(q=5, r=1, c_sam=3.0, seed=0).objective.ensemble.m == 333
+    monkeypatch.setattr(problems, "_mem_available_bytes", lambda: 2 * 2**20)
+    with pytest.raises(ValueError, match="needs 2727936 bytes"):
+        gen_qst(q=5, r=1, c_sam=3.0, seed=0)
 
 
 def test_memory_guard_passes_fitting_and_unknown_sizes(monkeypatch):

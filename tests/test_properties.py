@@ -5,12 +5,17 @@ rank-one (sensing vectors a_i for E_i = a_i a_i^H), drawn from a seed
 that hypothesis chooses.  The dense twin ``MeasurementEnsemble(dense_stack(ens), y)``
 is the oracle for the rank-one form, and the n x n ``apply``/``adjoint``
 and ``spectral_norm`` are the oracles for the factor-space primitives and
-stopping norms.  The constraint projections are checked against their
+stopping norms.  The packed dense form is checked against entry-by-entry
+sums over the stack it was built from.  The constraint projections are checked against their
 variational inequality, and the Procrustes distance against its symmetry
 and rotation invariance.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_stack
@@ -118,6 +123,84 @@ def test_factored_primitives_match_dense_calls(spec, r):
     gap = np.max(np.abs(ens.adjoint_times(z, v) - ens.adjoint(z) @ v))
     assert gap <= REL * weight(ens, z) * np.linalg.norm(v)
     assert np.array_equal(dense_stack(ens), stored)
+
+
+packed_cases = st.tuples(
+    st.booleans(),  # complex field
+    st.integers(1, 8),  # n
+    st.integers(1, 10),  # m
+    st.integers(1, 3),  # r
+    st.integers(0, 2**32 - 1),  # data seed
+)
+
+
+def _packed_case(spec):
+    complex_field, n, m, r, seed = spec
+    rng = np.random.default_rng(seed)
+    g = _draw(rng, (m, n, n), complex_field)
+    stack = 0.5 * (g + np.transpose(g.conj(), (0, 2, 1)))
+    return MeasurementEnsemble(stack, rng.standard_normal(m)), stack, rng
+
+
+def _naive_apply(stack, x):
+    # Re tr(E_k X) = sum_{j,l} Re(E_k[j, l] X[l, j]), one entry at a time.
+    n = len(x)
+    return np.array([sum((e[j, l] * x[l, j]).real for j in range(n) for l in range(n)) for e in stack])
+
+
+def _naive_adjoint(stack, z):
+    out = np.zeros(stack.shape[1:], dtype=stack.dtype)
+    for zk, e in zip(z, stack):
+        out += zk * e
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(packed_cases)
+def test_packed_dense_form_matches_entrywise_sums(spec):
+    # apply, adjoint, apply_factored and adjoint_times of the packed rows
+    # against Re tr(E_k X) and sum_k z_k E_k over the unpacked stack, for a
+    # Hermitian and a general complex X on either field.
+    ens, stack, rng = _packed_case(spec)
+    complex_field, n, m, r, _ = spec
+    assert isinstance(ens.operator, DenseStack) and ens.operator.nbytes == 8 * m * (
+        n * n if complex_field else n * (n + 1) // 2)
+    norms = np.linalg.norm(stack.reshape(m, -1), axis=1)
+    g = _draw(rng, (n, n), True)
+    for x in (g, 0.5 * (g + g.conj().T)):
+        assert np.max(np.abs(ens.apply(x) - _naive_apply(stack, x))) <= REL * norms.sum() * np.linalg.norm(x)
+    u = _draw(rng, (n, r), complex_field)
+    v = _draw(rng, (n, r), complex_field)
+    z = rng.standard_normal(m)
+    x = u @ u.conj().T
+    assert np.max(np.abs(ens.apply_factored(u) - _naive_apply(stack, x))) <= (
+        REL * norms.sum() * np.linalg.norm(x))
+    a = ens.adjoint(z)
+    assert np.array_equal(a, a.conj().T) and a.dtype == stack.dtype  # exactly Hermitian, real diagonal
+    assert np.max(np.abs(a - _naive_adjoint(stack, z))) <= REL * (np.abs(z) @ norms)
+    gap = np.max(np.abs(ens.adjoint_times(z, v) - _naive_adjoint(stack, z) @ v))
+    assert gap <= REL * (np.abs(z) @ norms) * np.linalg.norm(v)
+
+
+@PROPERTY_SETTINGS
+@given(packed_cases)
+def test_packed_dense_form_refuses_non_hermitian_and_survives_save_load(spec):
+    ens, stack, rng = _packed_case(spec)
+    complex_field, n, m, _, _ = spec
+    k = int(rng.integers(m))
+    if n > 1 or complex_field:
+        bad = stack.copy()
+        bad[k, 0, n - 1] += 1j if complex_field else 1.0  # breaks E = E^H, on the diagonal when n = 1
+        with pytest.raises(ValueError, match=f"operator {k} is not Hermitian"):
+            MeasurementEnsemble(bad, ens.y)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ensemble.json"
+        ens.save(path)
+        back = MeasurementEnsemble.load(path)
+    x = _draw(rng, (n, n), True)
+    z = rng.standard_normal(m)
+    assert back.apply(x).tobytes() == ens.apply(x).tobytes()
+    assert back.adjoint(z).tobytes() == ens.adjoint(z).tobytes()
 
 
 factor_pairs = st.tuples(
