@@ -103,13 +103,21 @@ def _json_type(kind, name):
 _object, _list, _bool = _json_type(dict, "object"), _json_type(list, "list"), _json_type(bool, "boolean")
 
 
+def _number(convert):
+    # ``convert``, refusing a JSON boolean (passed on as None): int(true) is 1, yet true is no number.
+    return lambda value: convert(None if isinstance(value, bool) else value)
+
+
+_int, _float = _number(int), _number(float)
+
+
 def _optional_float(value):
-    return None if value is None else float(value)
+    return None if value is None else _float(value)
 
 
 def _seed_and_out(args, doc):
     # --seed and --out override the config's "seed" and "out" (created).
-    seed = args.seed if args.seed is not None else _require(doc, "seed", "config", int, 0)
+    seed = args.seed if args.seed is not None else _require(doc, "seed", "config", _int, 0)
     if seed < 0:  # else numpy's seeding refuses it later, as a generator error
         raise ConfigError(f"seed must be non-negative, got {seed}")
     out = Path(args.out) if args.out else _require(doc, "out", "config", Path, ".")
@@ -127,17 +135,17 @@ def build_instance(problem, seed):
 
     kind = get("kind", None)
     if kind == "qst":
-        return gen_qst(q=get("q", int), r=get("r", int), c_sam=get("c_sam", float),
-                       seed=seed, **given(float, noise_norm="noise"))
+        return gen_qst(q=get("q", _int), r=get("r", _int), c_sam=get("c_sam", _float),
+                       seed=seed, **given(_float, noise_norm="noise"))
     if kind == "phase_retrieval":
         return gen_phase_retrieval(
-            n=get("n", int), sparsity=get("sparsity", int), m=get("m", int), seed=seed,
-            **given(float, noise_norm="noise"), **given(_optional_float, lam="lam"),
+            n=get("n", _int), sparsity=get("sparsity", _int), m=get("m", _int), seed=seed,
+            **given(_float, noise_norm="noise"), **given(_optional_float, lam="lam"),
         )
     if kind == "synthetic":
         return gen_synthetic(
-            n=get("n", int), r=get("r", int), m=get("m", int), seed=seed,
-            **given(float, condition_number="condition_number", noise_norm="noise"),
+            n=get("n", _int), r=get("r", _int), m=get("m", _int), seed=seed,
+            **given(_float, condition_number="condition_number", noise_norm="noise"),
         )
     if kind == "files":
         ensemble = get("ensemble_file", Path)
@@ -155,7 +163,7 @@ def build_instance(problem, seed):
 def build_solver_config(solver, rank):
     """The solver block as a ``SolverConfig`` and an algorithm name; only the
     keys the block sets are passed, so the rest keep ``SolverConfig``'s defaults."""
-    keys = {"max_iters": int, "tol": float, "step_size_constant": _optional_float,
+    keys = {"max_iters": _int, "tol": _float, "step_size_constant": _optional_float,
             "step_mode": None, "record_truth_dist": _bool}
     given = {key: _require(solver, key, "solver", convert) for key, convert in keys.items() if key in solver}
     try:
@@ -225,11 +233,11 @@ def cmd_sweep(args):
     doc = load_config(args.config)
     root_seed, out = _seed_and_out(args, doc)
     grid = _require(doc, "sweep", "config", _object)
-    qs = _require(grid, "q", "sweep", lambda vs: [int(v) for v in _list(vs)])
-    rs = _require(grid, "r", "sweep", lambda vs: [int(v) for v in _list(vs)])
-    c_sams = _require(grid, "c_sam", "sweep", lambda vs: [float(v) for v in _list(vs)])
-    n_seeds = _require(grid, "seeds", "sweep", int, 1)
-    noise = {"noise": _require(grid, "noise", "sweep", float)} if "noise" in grid else {}
+    qs = _require(grid, "q", "sweep", lambda vs: [_int(v) for v in _list(vs)])
+    rs = _require(grid, "r", "sweep", lambda vs: [_int(v) for v in _list(vs)])
+    c_sams = _require(grid, "c_sam", "sweep", lambda vs: [_float(v) for v in _list(vs)])
+    n_seeds = _require(grid, "seeds", "sweep", _int, 1)
+    noise = {"noise": _require(grid, "noise", "sweep", _float)} if "noise" in grid else {}
     # Checked once: a bad block fails before any cell runs.
     cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}), rank=1)
 
@@ -239,6 +247,8 @@ def cmd_sweep(args):
          _cell_seed(root_seed, index), cfg, algorithm)
         for index, (q, r, c_sam, _) in enumerate(grid_order)
     ]
+    if not cells:  # an empty list or seeds < 1; else sweep.csv holds only its header
+        raise ConfigError(f"sweep grid has no cells: q {qs}, r {rs}, c_sam {c_sams}, seeds {n_seeds}")
 
     if args.jobs and args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -1,11 +1,12 @@
 """Least-squares sensing objectives f(X) = ||A(X) - y||_2^2.
 
-A measurement ensemble is a list of Hermitian operators E_i, held in
-one of two storage forms (``DenseStack``: each E_i packed into a row of
-its n^2 real degrees of freedom, n(n+1)/2 for a real field; ``RankOne``:
-the (m, n) sensing vectors of E_i = a_i a_i^H), with observations y_i.
-The forward map is (A(X))_i = Re trace(E_i X), the adjoint is
-A*(z) = sum_i z_i E_i, and the gradient convention is
+A measurement ensemble is a list of Hermitian operators E_i with
+observations y_i, held in a storage form of ``_FORMS`` that also writes and
+reads its own ``ensemble.json`` rows (``DenseStack``: each E_i packed into a
+row of its n^2 real degrees of freedom, n(n+1)/2 for a real field;
+``RankOne``: the (m, n) sensing vectors of E_i = a_i a_i^H).  The forward
+map is (A(X))_i = Re trace(E_i X), the adjoint is A*(z) = sum_i z_i E_i,
+and the gradient convention is
 
     grad f(X) = 2 A*(A(X) - y),
 
@@ -18,7 +19,7 @@ primitives of ``MeasurementEnsemble``:
     adjoint_times(z, V) = A*(z) @ V
 
 ``RankOne`` has its own O(m n r) kernels for both, with no n x n matrix;
-a dense stack goes through the ensemble's ``apply`` and ``adjoint``.
+a dense stack uses the ensemble's ``apply(U U^H)`` and ``adjoint(z) @ V``.
 """
 
 import json
@@ -64,7 +65,7 @@ class DenseStack:
     """Storage form: each Hermitian E_i packed into one real row of its
     degrees of freedom, ``diag(E)``, ``Re E[iu]``, ``Im E[iu]`` (complex
     field, n^2 reals) or ``diag(E)``, ``E[iu]`` (real field, n(n+1)/2
-    reals), with ``iu`` the strict upper triangle.
+    reals), with ``iu`` the strict upper triangle in row-major order.
 
     ``operators`` is any iterable of the m n x n matrices; each is checked
     Hermitian as it is packed, so the (m, n, n) stack need never exist.
@@ -73,60 +74,51 @@ class DenseStack:
     json_key = "operators"
 
     def __init__(self, operators, m, n, complex_field):
-        self.dim = n
+        self.m, self.dim = m, n
         self.dtype = np.dtype(complex if complex_field else float)
         self.array = np.empty((m, _packed_width(n, complex_field)))
         self.nbytes = self.array.nbytes
-        # _pack: where each packed entry sits in a matrix (in the float view
-        # for a complex field); _unpack: the entry of the packed row each slot
-        # of the matrix takes, the row extended by [-Im part, 0] when complex.
-        rows, cols = np.triu_indices(n, 1)
-        t = len(rows)
-        pos = np.concatenate((np.arange(n) * (n + 1), rows * n + cols))
-        idx = np.zeros((n, n), dtype=np.intp)
-        idx.flat[pos] = np.arange(n + t)
-        idx += np.triu(idx, 1).T  # E_kj takes the entry of E_jk
-        if complex_field:
-            self._pack = np.concatenate((2 * pos, 2 * pos[n:] + 1))
-            imag = np.where(np.tri(n, k=-1, dtype=bool), idx + 2 * t, idx + t)
-            np.fill_diagonal(imag, n + 3 * t)
-            self._unpack = np.stack((idx, imag), axis=-1).ravel()
-        else:
-            self._pack = pos
-            self._unpack = idx.ravel()
-        for k, op in zip(range(m), operators, strict=True):
-            require_hermitian(op, what=f"operator {k}")
-            np.take(self._flat(op), self._pack, out=self.array[k])
+        # Flat positions in an n x n matrix: diagonal (j, j), strict upper triangle (j, k), mirror (k, j).
+        j, k = np.triu_indices(n, 1)
+        self._diag, self._upper, self._lower = np.arange(n) * (n + 1), j * n + k, k * n + j
+        for i, op in zip(range(m), operators, strict=True):
+            require_hermitian(op, what=f"operator {i}")
+            self._packed(op, out=self.array[i])
+
+    @classmethod
+    def from_json_rows(cls, rows, n, complex_field):
+        """The stack of ``json_rows``, decoded and packed one operator at a time."""
+        if len(rows):  # a first row that does not fit n fails before the packed rows are allocated
+            _decode_array(rows[0], complex_field, (n, n))
+        return cls((_decode_array(row, complex_field, (n, n)) for row in rows), len(rows), n, complex_field)
 
     @staticmethod
     def footprint(m, n, complex_field):
         """Bytes of the packed rows of m operators of order n."""
         return 8 * m * _packed_width(n, complex_field)
 
-    @property
-    def m(self):
-        return self.array.shape[0]
-
-    def _flat(self, x):
-        # The entries of x in the layout _pack indexes.
-        if self.dtype.kind == "c":
-            return np.ascontiguousarray(x, dtype=complex).view(float)
-        return np.real(x)
+    def _packed(self, x, out=None):
+        # diag(x).real, Re x[iu] and, for a complex field, Im x[iu].
+        flat = np.ravel(x)
+        imag = (flat.imag[self._upper],) if self.dtype.kind == "c" else ()
+        return np.concatenate((flat.real[self._diag], flat.real[self._upper], *imag), out=out)
 
     def _unpacked(self, w):
         # The n x n matrix of the packed entries w: exactly Hermitian, real diagonal.
-        n = self.dim
-        if self.dtype.kind != "c":
-            return np.take(w, self._unpack).reshape(n, n)
-        # Im E_kj = 0 - Im E_jk (a zero stays +0), and Im E_jj = 0.
-        w = np.concatenate((w, np.subtract(0.0, w[n * (n + 1) // 2:]), [0.0]))
-        return np.take(w, self._unpack).view(complex).reshape(n, n)
+        n, t = self.dim, len(self._upper)
+        e = np.zeros(n * n, dtype=self.dtype)
+        e.real[self._diag] = w[:n]
+        e.real[self._upper] = e.real[self._lower] = w[n : n + t]
+        if self.dtype.kind == "c":  # Im E_kj = 0 - Im E_jk, so a zero stays +0
+            e.imag[self._upper] = w[n + t :]
+            e.imag[self._lower] = 0.0 - w[n + t :]
+        return e.reshape(n, n)
 
     def apply(self, x):
         # Re tr(E X) = sum_j E_jj Re X_jj + sum_{j<k} Re E_jk (Re X_jk + Re X_kj)
         #   + Im E_jk (Im X_jk - Im X_kj) for Hermitian E and any X, and
         # H = X + X^H holds those sums, with 2 Re X_jj on its diagonal.
-        p = np.take(self._flat(x + x.conj().T), self._pack)
+        p = self._packed(x + x.conj().T)
         p[: self.dim] *= 0.5
         return self.array @ p
 
@@ -145,21 +137,19 @@ class RankOne:
 
     def __init__(self, vectors):
         self.array = vectors
+        self.m, self.dim = vectors.shape
         self.nbytes = vectors.nbytes
         self.dtype = vectors.dtype
+
+    @classmethod
+    def from_json_rows(cls, rows, n, complex_field):
+        """The sensing vectors of ``json_rows``."""
+        return cls(_decode_array(rows, complex_field, (len(rows), n)))
 
     @staticmethod
     def footprint(m, n, complex_field):
         """Bytes of m sensing vectors of length n."""
         return (16 if complex_field else 8) * m * n
-
-    @property
-    def m(self):
-        return self.array.shape[0]
-
-    @property
-    def dim(self):
-        return self.array.shape[1]
 
     def json_rows(self):
         return [_encode_array(a) for a in self.array]
@@ -193,15 +183,19 @@ class RankOne:
         return a.T @ w
 
 
+# The storage forms, each keyed in ensemble.json by its ``json_key``.
+_FORMS = (DenseStack, RankOne)
+
+
 class MeasurementEnsemble:
     """Linear sensing operator: m Hermitian operators plus observations.
 
     Parameters
     ----------
-    operators : (m, n, n) array of Hermitian matrices E_i, kept in
-        ``operator`` as a ``DenseStack``, or (m, n) array of sensing vectors
-        a_i for the rank-one E_i = a_i a_i^H, kept as a ``RankOne``; or a
-        storage form itself.
+    operators : a storage form of ``_FORMS``, kept as ``operator``; or an
+        (m, n, n) array of Hermitian matrices E_i, packed into a
+        ``DenseStack``, or an (m, n) array of sensing vectors a_i for the
+        rank-one E_i = a_i a_i^H, kept as a ``RankOne``.
     y : (m,) real observations.
     noise_norm : l2 norm of the additive noise used to produce ``y``
         (0 for noiseless data); carried as metadata.
@@ -211,14 +205,11 @@ class MeasurementEnsemble:
         y = np.asarray(y, dtype=float)
         if not noise_norm >= 0:  # NaN fails too
             raise ValueError("noise_norm must be non-negative")
-        if not isinstance(operators, (DenseStack, RankOne)):
-            ops = np.ascontiguousarray(operators)
-            if ops.ndim != 2 and (ops.ndim != 3 or ops.shape[1] != ops.shape[2]):
-                raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {ops.shape}")
-            if ops.ndim == 2:
-                operators = RankOne(ops)
-            else:
-                operators = DenseStack(ops, len(ops), ops.shape[1], np.iscomplexobj(ops))
+        if not isinstance(operators, _FORMS):
+            a = np.ascontiguousarray(operators)
+            if a.ndim != 2 and (a.ndim != 3 or a.shape[1] != a.shape[2]):
+                raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {a.shape}")
+            operators = RankOne(a) if a.ndim == 2 else DenseStack(a, *a.shape[:2], np.iscomplexobj(a))
         if y.shape != (operators.m,):
             raise ValueError("y length must match the number of operators")
         self.operator = operators
@@ -259,8 +250,7 @@ class MeasurementEnsemble:
         kernel = getattr(self.operator, "apply_factored", None)
         if kernel is not None:
             return kernel(u)
-        x = u @ u.conj().T
-        return self.apply(0.5 * (x + x.conj().T))
+        return self.apply(u @ u.conj().T)
 
     def adjoint_times(self, z, v):
         """A*(z) @ V for an (n, r) matrix V; ``adjoint(z) @ V`` unless the
@@ -287,7 +277,7 @@ class MeasurementEnsemble:
 
     def to_json_dict(self):
         """{dim, field, operators | vectors, y, noise_norm}; complex entries
-        as [re, im]; the key names the storage form."""
+        as [re, im]; the storage form's ``json_key`` holds its ``json_rows``."""
         return {
             "dim": int(self.dim),
             "field": self.field,
@@ -298,18 +288,17 @@ class MeasurementEnsemble:
 
     @classmethod
     def from_json_dict(cls, doc):
+        """Inverse of ``to_json_dict``; the form named by its key decodes its rows."""
         n = int(doc["dim"])
         field = doc["field"]
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}")
-        if ("operators" in doc) == ("vectors" in doc):
-            raise ValueError("ensemble JSON needs exactly one of 'operators' and 'vectors'")
-        if "vectors" in doc:
-            raw, shape = doc["vectors"], (n,)
-        else:
-            raw, shape = doc["operators"], (n, n)
-        ops = _decode_array(raw, field == "complex", (len(raw),) + shape)
-        return cls(ops, np.array(doc["y"], dtype=float), float(doc["noise_norm"]))
+        forms = [form for form in _FORMS if form.json_key in doc]
+        if len(forms) != 1:
+            keys = " and ".join(repr(form.json_key) for form in _FORMS)
+            raise ValueError(f"ensemble JSON needs exactly one of {keys}")
+        operator = forms[0].from_json_rows(doc[forms[0].json_key], n, field == "complex")
+        return cls(operator, np.array(doc["y"], dtype=float), float(doc["noise_norm"]))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -376,7 +365,6 @@ class Objective:
             lam_new = float(z @ w)
             nw = np.linalg.norm(w)
             if nw == 0.0:
-                lam_new = 0.0
                 break
             z = w / nw
             if abs(lam_new - lam) <= _SMOOTHNESS_TOL * abs(lam_new):

@@ -190,7 +190,7 @@ def pauli_operator(q, index, normalize=True):
         raise ValueError(f"q={q} exceeds the memory budget (max {_MAX_QUBITS})")
     if len(index) != q or any(d not in _PAULI for d in index):
         raise ValueError(f"index must be a length-{q} string over digits 0-3")
-    op = _PAULI[index[0]]
+    op = _PAULI[index[0]].copy()  # a fresh array: the caller may scale it in place
     for digit in index[1:]:
         op = np.kron(op, _PAULI[digit])
     if normalize:

@@ -336,6 +336,11 @@ MALFORMED = {
     "seed_infinite": ("solve", dict(QST_SOLVE_CONFIG, seed=float("inf"))),  # written as Infinity
     "max_iters_infinite": ("solve", dict(QST_SOLVE_CONFIG, solver={"max_iters": float("inf")})),
     "seed_negative": ("solve", dict(QST_SOLVE_CONFIG, seed=-1)),
+    "seed_bool": ("solve", dict(QST_SOLVE_CONFIG, seed=True)),  # not read as 1
+    "problem_q_bool": ("solve", dict(QST_SOLVE_CONFIG, problem=dict(QST_SOLVE_CONFIG["problem"], q=True))),
+    "sweep_seeds_negative": ("sweep", sweep_config([3], [2.0], -1)),  # else a header-only sweep.csv
+    "sweep_seeds_zero": ("sweep", sweep_config([3], [2.0], 0)),
+    "sweep_q_empty": ("sweep", sweep_config([], [2.0], 1)),
 }
 
 
@@ -588,8 +593,9 @@ def solve_mutated_instance(tmp_path, where, key, value):
     ("instance.json", "rank", _DROP),
     ("instance.json", "rank", -1),
     ("ensemble.json", "dim", float("inf")),
+    ("ensemble.json", "dim", 10**6),  # refused before 10^12 reals per operator are allocated
     ("ensemble.json", "operators", [[[0, 0], [1, 0], [0, 0], [0, 0]]] * 3),  # not Hermitian
-], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "not_hermitian"])
+], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "dim_huge", "not_hermitian"])
 def test_malformed_instance_file_exits_64_naming_it(tmp_path, capsys, where, key, value):
     assert solve_mutated_instance(tmp_path, where, key, value) == EXIT_USAGE
     err = capsys.readouterr().err

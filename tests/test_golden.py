@@ -2,8 +2,9 @@
 
 The fixtures under ``tests/data/golden/<case>/`` hold ``trace.csv`` and
 ``summary.json`` (without the wall-clock ``elapsed_ms``) of ``fpgd solve``,
-and ``ensemble.json`` / ``instance.json`` of ``fpgd generate``.  Rewrite
-them only for an intended change of behaviour:
+``ensemble.json`` / ``instance.json`` of ``fpgd generate``, and the
+``report_<suite>.json`` of ``fpgd verify <suite> --seed 3`` for every suite.
+Rewrite them only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py tests/data/golden
 """
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from fpgd.cli import EXIT_OK, main
+from fpgd.diagnostics import SUITE_NAMES
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -61,12 +63,19 @@ GENERATE_CASES = {
 }
 
 
+VERIFY_CASES = {"verify_seed3": {"seed": 3}}
+
+
 def run_case(command, doc, workdir):
     """Run one CLI case in ``workdir``; returns {file name: bytes}."""
     workdir = Path(workdir)
+    out = workdir / "out"
+    if command == "verify":  # every suite, at the case's seed
+        for suite in SUITE_NAMES:
+            assert main(["verify", suite, "--seed", str(doc["seed"]), "--out", str(out)]) == EXIT_OK
+        return {f"report_{suite}.json": (out / f"report_{suite}.json").read_bytes() for suite in SUITE_NAMES}
     cfg = workdir / "config.json"
     cfg.write_text(json.dumps(doc))
-    out = workdir / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     if command == "generate":
         return {name: (out / name).read_bytes() for name in ("ensemble.json", "instance.json")}
@@ -78,8 +87,10 @@ def run_case(command, doc, workdir):
     }
 
 
-ALL_CASES = [("solve", name, doc) for name, doc in SOLVE_CASES.items()] + [
-    ("generate", name, doc) for name, doc in GENERATE_CASES.items()
+ALL_CASES = [
+    (command, name, doc)
+    for command, cases in (("solve", SOLVE_CASES), ("generate", GENERATE_CASES), ("verify", VERIFY_CASES))
+    for name, doc in cases.items()
 ]
 
 

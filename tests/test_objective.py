@@ -221,6 +221,22 @@ def test_ensemble_json_roundtrip(tmp_path, complex_field):
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_dense_json_roundtrip_reproduces_packed_rows_bit_for_bit(complex_field, n):
+    # to_json_dict unpacks each row to a full matrix and from_json_dict packs it
+    # back: the same bytes, signed zeros included (n = 1 has empty triangles).
+    rng = np.random.default_rng(n)
+    ens = random_ensemble(rng, n, 6, complex_field, noise=1e-3)
+    rows = ens.operator.array
+    rows[:, ::2] = 0.0
+    rows[1::2, ::3] = -0.0
+    assert np.signbit(rows[rows == 0]).any() and not np.signbit(rows[rows == 0]).all()
+    back = MeasurementEnsemble.from_json_dict(json.loads(json.dumps(ens.to_json_dict())))
+    assert isinstance(back.operator, DenseStack) and back.field == ens.field
+    assert back.operator.array.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
 def test_rank_one_json_roundtrip_is_bit_exact(tmp_path, complex_field):
     rng = np.random.default_rng(13)
     a = rng.standard_normal((6, 4))

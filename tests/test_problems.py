@@ -75,6 +75,15 @@ def test_pauli_matches_kron_oracle():
         assert np.allclose(got, kron_oracle(index), atol=1e-12)
 
 
+def test_pauli_result_is_a_fresh_array():
+    # Scaling a q=1 result in place must not change the Paulis built after it.
+    for digit in "0123":
+        p = pauli_operator(1, digit, normalize=False)
+        p *= 2
+    assert np.array_equal(pauli_operator(1, "1", normalize=False), kron_oracle("1"))
+    assert np.array_equal(pauli_operator(2, "10"), kron_oracle("10") / 2)
+
+
 def test_pauli_rejects_bad_input():
     with pytest.raises(ValueError):
         pauli_operator(2, "14")
