@@ -11,16 +11,10 @@ to the full (m, n, n) operator stack.
 import numpy as np
 import scipy.linalg
 
-from fpgd.linalg import procrustes_dist
+from fpgd.linalg import factor_from_psd, procrustes_dist, psd_project
 from fpgd.objective import RankOne
 from fpgd.problems import unconstrained
-from fpgd.solver import (
-    FGD_STEP_CONSTANT,
-    PROJFGD_STEP_CONSTANT,
-    SolveTrace,
-    _init,
-    _step_denominator,
-)
+from fpgd.solver import FGD_STEP_CONSTANT, PROJFGD_STEP_CONSTANT, SolveTrace
 
 
 def jacobi_eigh(a, sweeps=60, tol=1e-14):
@@ -37,7 +31,7 @@ def jacobi_eigh(a, sweeps=60, tol=1e-14):
         for p in range(n - 1):
             for q in range(p + 1, n):
                 rho = abs(a[p, q])
-                if rho == 0.0:
+                if rho < np.finfo(float).tiny:  # zero or subnormal: a[p, q] / rho overflows
                     continue
                 alpha, beta = a[p, p].real, a[q, q].real
                 phase = a[p, q] / rho
@@ -134,15 +128,19 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
     """The ProjFGD (or, with ``fgd``, unconstrained FGD) iteration on dense
     n x n iterates: X = U U^H formed each step, ``apply``/``adjoint`` on X,
     the adaptive step from ||Q_U^H grad f(X)||_2, and both stopping norms
-    from full ``eigvalsh``.  Same initialization, fixed step and trace as
-    the solver.  Returns (factor, SolveTrace); meant for n <= 64."""
+    from full ``eigvalsh``.  Its own initialization and fixed step, from
+    two eigendecompositions: X_0 = Pi_+(2 A*(y)) / L_hat, U_0 = Pi_C of the
+    top-r factor of X_0, and eta from full ``eigvalsh`` of X_0 and
+    grad f(X_0).  Same trace as the solver.  Returns (factor, SolveTrace);
+    meant for n <= 64."""
     obj = instance.objective
     ens = obj.ensemble
     constraint = unconstrained() if fgd else instance.constraint
     default = FGD_STEP_CONSTANT if fgd else PROJFGD_STEP_CONSTANT
     constant = cfg.step_size_constant if cfg.step_size_constant is not None else default
     l_hat = obj.smoothness()
-    x_ref, u = _init(obj, constraint, cfg.rank)
+    x_ref = psd_project(ens.adjoint(2.0 * ens.y)) / l_hat
+    u, _ = constraint.project(factor_from_psd(x_ref, cfg.rank))
 
     def gram(v):
         x = v @ v.conj().T
@@ -157,7 +155,7 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
     blowup = 1e6 * (trace.initial_objective + 1e-12 * (1.0 + float(ens.y @ ens.y)))
     eta = None
     if cfg.step_mode == "fixed_from_init":
-        denom = _step_denominator(obj, x_ref)
+        denom = l_hat * _dense_spectral_norm(x_ref) + _dense_spectral_norm(obj.grad(x_ref))
         if denom == 0.0:
             trace.status = "converged"
             return u, trace
