@@ -2,9 +2,7 @@
 recovery, with problem generators and convergence diagnostics."""
 
 from .linalg import (
-    EigPair,
     factor_from_psd,
-    hermitian_eig_top_r,
     is_hermitian,
     procrustes_align,
     procrustes_dist,

@@ -12,7 +12,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import gaussian, procrustes_align, procrustes_dist, spectral_norm, trace_inner
+from .linalg import (
+    gaussian,
+    procrustes_align,
+    procrustes_dist,
+    project_frobenius_ball,
+    project_l1_ball,
+    psd_project,
+    trace_inner,
+)
 from .problems import frobenius_ball, gen_qst, gen_synthetic, unconstrained
 from .solver import (
     PROJFGD_STEP_CONSTANT,
@@ -317,7 +325,7 @@ def check_init_bound(instance):
     mu_hat = obj.strong_convexity(n)
     s = _truth_singular_values(instance)
     tau_u = s[0] / s[-1]
-    srank = float(np.linalg.norm(instance.truth_x)) / spectral_norm(instance.truth_x)
+    srank = float(np.linalg.norm(s**2)) / s[0] ** 2  # ||X*||_F / ||X*||_2, X* = U* U*^H
     ratio = min(mu_hat / l_hat, 1.0)
     rho = np.sqrt((1.0 - ratio) / (2.0 * (np.sqrt(2.0) - 1.0))) * tau_u**2 * np.sqrt(srank)
     bound = float(rho * s[-1])
@@ -340,8 +348,6 @@ def check_init_bound(instance):
 
 
 def _suite_projections(seed):
-    from .linalg import project_frobenius_ball, project_l1_ball, psd_project
-
     rng = np.random.default_rng(seed)
     rep_f = LemmaReport("variational_frobenius")
     rep_l = LemmaReport("variational_l1")

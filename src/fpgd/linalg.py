@@ -7,12 +7,9 @@ fields.  Factor alignment uses unitary matrices in the complex case (the
 natural extension of the orthogonal group; real inputs recover O(r)).
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "EigPair",
     "gaussian",
     "is_hermitian",
     "require_hermitian",
@@ -20,7 +17,6 @@ __all__ = [
     "spectral_norm",
     "gram_norm",
     "gram_diff_norm",
-    "hermitian_eig_top_r",
     "psd_project",
     "factor_from_psd",
     "procrustes_align",
@@ -32,13 +28,6 @@ __all__ = [
 # Eigenvalues below this (relative to the top one) count as numerically zero
 # when extracting factors of degenerate-rank matrices.
 _RANK_EPS = 1e-12
-
-
-class EigPair(NamedTuple):
-    """Top-r eigenvalues (descending) with orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def gaussian(rng, shape, complex_field):
@@ -101,41 +90,6 @@ def gram_diff_norm(u1, u0):
     return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (core + core.conj().T)))))
 
 
-def _fix_vector_phases(vectors):
-    # Make the largest-modulus entry of each column real-positive so
-    # eigendecompositions are deterministic up to degeneracies.
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if np.abs(pivot) > 0:
-            v[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return v
-
-
-def hermitian_eig_top_r(m, r):
-    """Top-r eigenpairs of a Hermitian matrix, by algebraic eigenvalue.
-
-    Parameters
-    ----------
-    m : (n, n) array, Hermitian within 1e-12 relative tolerance.
-    r : int, 1 <= r <= n.
-
-    Returns
-    -------
-    EigPair with ``values`` sorted descending and orthonormal ``vectors``
-    whose largest-modulus entries are real-positive.
-    """
-    m = require_hermitian(m)
-    n = m.shape[0]
-    if not 1 <= r <= n:
-        raise ValueError(f"rank r={r} out of range for n={n}")
-    w, v = np.linalg.eigh(m)  # ascending
-    idx = np.argsort(w)[::-1][:r]
-    return EigPair(w[idx], _fix_vector_phases(v[:, idx]))
-
-
 def psd_project(m):
     """Projection onto the PSD cone: clip negative eigenvalues.
 
@@ -149,17 +103,27 @@ def psd_project(m):
 
 
 def factor_from_psd(x, r):
-    """n x r factor U with U U^H = best rank-r PSD part of ``x``.
+    """n x r factor U with U U^H = best rank-r PSD part of Hermitian ``x``.
 
-    Columns carry sqrt of the top-r eigenvalues; eigenvalues below
-    1e-12 * lambda_max count as zero and yield zero columns, so the
-    factor always has exactly r columns.
+    Column j is sqrt(lambda_j) v_j for the j-th largest eigenvalue, so the
+    columns are orthogonal with non-increasing norms and the first k
+    columns of the rank-r factor are the rank-k factor.  The largest-modulus
+    entry of each eigenvector is real-positive, so the factor is
+    deterministic up to degeneracies.  Eigenvalues below 1e-12 * lambda_max
+    count as zero and yield zero columns, so the factor always has exactly
+    r columns.  Requires 1 <= r <= n.
     """
-    pair = hermitian_eig_top_r(x, r)
-    vals = pair.values.copy()
-    cutoff = _RANK_EPS * max(vals[0], 0.0) if vals.size else 0.0
-    vals[vals <= cutoff] = 0.0
-    return pair.vectors * np.sqrt(vals)
+    x = require_hermitian(x)
+    n = x.shape[0]
+    if not 1 <= r <= n:
+        raise ValueError(f"rank r={r} out of range for n={n}")
+    w, v = np.linalg.eigh(x)  # ascending
+    idx = np.argsort(w)[::-1][:r]
+    vals = w[idx]
+    vals[vals <= _RANK_EPS * max(vals[0], 0.0)] = 0.0
+    v = v[:, idx]
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(r)]  # nonzero: unit columns
+    return v * (pivots.conj() / np.abs(pivots)) * np.sqrt(vals)
 
 
 def procrustes_align(u, v):

@@ -280,8 +280,8 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     if q < 1 or q > _MAX_QUBITS:
         raise ValueError(f"q must be in [1, {_MAX_QUBITS}]")
     n = 2**q
-    if r > n:
-        raise ValueError("rank must not exceed 2^q")
+    if not 1 <= r <= n:
+        raise ValueError(f"r={r} must be in [1, 2^q = {n}]")
     samples = c_sam * r * n * float(np.log(n))  # a Python float: overflow gives inf, no warning
     if not 0.5 < samples < np.inf:  # rounds to at least one measurement, and is finite
         raise ValueError(f"c_sam={c_sam!r} gives no finite, positive measurement count")
@@ -320,8 +320,8 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
     factored constraint is the (unfaithful) entrywise l1 ball of radius
     ``lam``, default 1.2 * ||x*||_1.
     """
-    if sparsity > n:
-        raise ValueError("sparsity must not exceed n")
+    if not 1 <= sparsity <= n:
+        raise ValueError(f"sparsity={sparsity} must be in [1, n = {n}]")
     if m < 1:
         raise ValueError("need at least one measurement")
     _require_fits(RankOne.footprint(m, n, True), f"{m} x {n} sensing vectors")
@@ -350,8 +350,8 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
     """
     if not condition_number >= 1:  # NaN fails too
         raise ValueError("condition_number must be >= 1")
-    if r > n:
-        raise ValueError("rank must not exceed n")
+    if not 1 <= r <= n:
+        raise ValueError(f"r={r} must be in [1, n = {n}]")
     if m < 1:
         raise ValueError("need at least one measurement")
     _require_fits(DenseStack.footprint(m, n, False), f"{m} packed {n} x {n} operators")

@@ -27,7 +27,6 @@ from .linalg import (
     gram_diff_norm,
     gram_norm,
     procrustes_dist,
-    psd_project,
     spectral_norm,
 )
 from .problems import unconstrained
@@ -112,12 +111,16 @@ class SolveTrace:
 
 
 def _init(obj, constraint, r):
-    # X_0 = (1/L_hat) Pi_+(-grad f(0)) and the projected top-r factor U_0 of it;
-    # the fixed step is taken at this X_0, not at U_0 U_0^H.  -grad f(0) = 2 A*(y).
+    # X_0 = (1/L_hat) Pi_+(-grad f(0)) = F F^H from one eigendecomposition, with
+    # -grad f(0) = 2 A*(y).  F's columns have non-increasing norms, so the top-r factor
+    # is F[:, :r] and U_0 = Pi_C of it.  The fixed step is taken at X_0, not at U_0 U_0^H.
     ens = obj.ensemble
-    x0 = psd_project(ens.adjoint(2.0 * ens.y)) / obj.smoothness()
-    u0, _ = constraint.project(factor_from_psd(x0, r))
-    return x0, u0
+    n = obj.dim
+    if not 1 <= r <= n:
+        raise ValueError(f"rank r={r} out of range for n={n}")
+    f = factor_from_psd(ens.adjoint(2.0 * ens.y), n) / np.sqrt(obj.smoothness())
+    u0, _ = constraint.project(f[:, :r])
+    return f @ f.conj().T, u0
 
 
 def init_point(obj, constraint, r):
@@ -154,10 +157,11 @@ def _adaptive_step(ens, l_hat, u, z, constant):
     """
     r = u.shape[1]
     w, s, _ = np.linalg.svd(u, full_matrices=False)
-    q = w[:, s > s.max(initial=0.0) * np.finfo(s.dtype).eps * max(u.shape)]
+    s_max = s.max(initial=0.0)
+    q = w[:, s > s_max * np.finfo(s.dtype).eps * max(u.shape)]
     g = ens.adjoint_times(z, np.hstack([u, q]))
     column_norm = float(np.linalg.norm(g[:, r:], 2)) if q.size else 0.0
-    denom = l_hat * gram_norm(u) + column_norm
+    denom = l_hat * float(s_max) ** 2 + column_norm  # ||U U^H||_2 = sigma_max(U)^2
     return (constant / denom if denom != 0.0 else None), g[:, :r]
 
 

@@ -374,9 +374,15 @@ NAN = float("nan")
      ({"kind": "phase_retrieval", "n": 10**6, "sparsity": 1, "m": 10**10}, "bytes available"),
      (dict(QST_PROBLEM, noise=NAN), "noise_norm must be"),
      ({"kind": "phase_retrieval", "n": 8, "sparsity": 2, "m": 16, "lam": NAN}, "lam must be"),
-     ({"kind": "synthetic", "n": 4, "r": 1, "m": 8, "condition_number": NAN}, "condition_number must be")],
+     ({"kind": "synthetic", "n": 4, "r": 1, "m": 8, "condition_number": NAN}, "condition_number must be"),
+     ({"kind": "synthetic", "n": 6, "r": 0, "m": 8}, "r=0 must be in [1, n = 6]"),
+     (dict(QST_PROBLEM, r=0), "r=0 must be in [1, 2^q = 16]"),
+     (dict(QST_PROBLEM, r=-1), "r=-1 must be in [1, 2^q = 16]"),
+     ({"kind": "phase_retrieval", "n": 8, "sparsity": 0, "m": 16}, "sparsity=0 must be in [1, n = 8]"),
+     ({"kind": "phase_retrieval", "n": 8, "sparsity": -1, "m": 16}, "sparsity=-1 must be in [1, n = 8]")],
     ids=["c_sam_too_small", "memory_guard", "c_sam_overflow", "phase_retrieval_memory_guard",
-         "noise_nan", "lam_nan", "condition_number_nan"],
+         "noise_nan", "lam_nan", "condition_number_nan", "synthetic_rank_zero", "qst_rank_zero",
+         "qst_rank_negative", "sparsity_zero", "sparsity_negative"],
 )
 def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem, message):
     # A well-formed config the generator refuses is a numeric failure, not a

@@ -1,11 +1,10 @@
-"""Core linear algebra: eigendecomposition, projections, factor alignment."""
+"""Core linear algebra: PSD factors, projections, factor alignment."""
 
 import numpy as np
 import pytest
 
 from fpgd.linalg import (
     factor_from_psd,
-    hermitian_eig_top_r,
     is_hermitian,
     procrustes_align,
     procrustes_dist,
@@ -20,55 +19,60 @@ from oracles import grid_l1_project, grid_o2_dist, jacobi_eigh, random_hermitian
 
 
 # ---------------------------------------------------------------------------
-# hermitian_eig_top_r
+# factor_from_psd: the top-r eigenpairs it is built from
 # ---------------------------------------------------------------------------
 
 
+def random_psd(rng, n, complex_field):
+    h = random_hermitian(rng, n, complex_field)
+    return h @ h.conj().T
+
+
 def test_eig_identity_spectrum():
-    pair = hermitian_eig_top_r(np.eye(3), 2)
-    assert np.allclose(pair.values, [1.0, 1.0])
-    assert np.allclose(pair.vectors.conj().T @ pair.vectors, np.eye(2), atol=1e-10)
+    u = factor_from_psd(np.eye(3), 2)
+    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10)
 
 
 def test_eig_diagonal():
-    pair = hermitian_eig_top_r(np.diag([3.0, 1.0, -2.0]), 1)
-    assert np.allclose(pair.values, [3.0])
-    # phase fixing makes the dominant entry +1 exactly
-    assert np.allclose(pair.vectors[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
+    # phase fixing makes the dominant entry real-positive: sqrt(3) exactly
+    u = factor_from_psd(np.diag([3.0, 1.0, -2.0]), 1)
+    assert np.allclose(u[:, 0], [np.sqrt(3.0), 0.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_eig_matches_jacobi_oracle(complex_field):
     rng = np.random.default_rng(42)
     for _ in range(5):
-        m = random_hermitian(rng, 6, complex_field)
+        m = random_psd(rng, 6, complex_field)
         w_ref, _ = jacobi_eigh(m)
-        pair = hermitian_eig_top_r(m, 3)
-        assert np.allclose(pair.values, w_ref[:3], rtol=1e-10, atol=1e-10)
-        # eigenvectors reproduce the matrix action
+        u = factor_from_psd(m, 3)
+        # orthogonal columns whose squared norms are the top eigenvalues, descending
+        gram = u.conj().T @ u
+        assert np.allclose(gram, np.diag(w_ref[:3]), rtol=1e-10, atol=1e-10 * w_ref[0])
+        # each column is an eigenvector of its eigenvalue
         for j in range(3):
-            resid = m @ pair.vectors[:, j] - pair.values[j] * pair.vectors[:, j]
-            assert np.linalg.norm(resid) < 1e-9
+            resid = m @ u[:, j] - w_ref[j] * u[:, j]
+            assert np.linalg.norm(resid) < 1e-9 * w_ref[0] ** 1.5
 
 
 def test_eig_reconstruction_matches_optimal_residual():
     rng = np.random.default_rng(7)
     for r in (1, 3, 5):
-        m = random_hermitian(rng, 8, complex_field=True)
+        m = random_psd(rng, 8, complex_field=True)
         w_all = np.sort(np.linalg.eigvalsh(m))[::-1]
-        pair = hermitian_eig_top_r(m, r)
-        recon = (pair.vectors * pair.values) @ pair.vectors.conj().T
-        err = np.linalg.norm(m - recon)
+        u = factor_from_psd(m, r)
+        err = np.linalg.norm(m - u @ u.conj().T)
         optimal = np.sqrt(np.sum(w_all[r:] ** 2))
         assert err <= optimal * (1 + 1e-8) + 1e-12
         assert abs(err - optimal) <= 1e-8 * max(optimal, 1.0)
 
 
 def test_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        hermitian_eig_top_r(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
-    with pytest.raises(ValueError):
-        hermitian_eig_top_r(np.eye(3), 4)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        factor_from_psd(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+    for r in (0, 4):
+        with pytest.raises(ValueError, match=f"rank r={r} out of range for n=3"):
+            factor_from_psd(np.eye(3), r)
     assert not is_hermitian(np.ones((2, 3)))
 
 

@@ -143,6 +143,15 @@ def test_smoothness_orthonormal_family():
     assert Objective(ens).smoothness() == pytest.approx(2.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_smoothness_of_qst_is_twice_the_squared_gain(q):
+    # Distinct unit-Frobenius Paulis are orthonormal, so A A* = scale^2 I with
+    # the gain scale = n^{3/2} / sqrt(m), and L_hat = 2 scale^2.
+    inst = gen_qst(q=q, r=1, c_sam=2.0, noise_norm=0.0, seed=q)
+    n, m = inst.dim, inst.objective.ensemble.m
+    assert inst.objective.smoothness() == pytest.approx(2.0 * n**3 / m, rel=1e-6)
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_smoothness_matches_dense_gram_oracle(complex_field):
     rng = np.random.default_rng(8)

@@ -77,6 +77,32 @@ def test_init_feasible_on_generated_instances():
     assert inst.constraint.contains(u0)
 
 
+@pytest.mark.parametrize("r", [0, 9])
+def test_init_refuses_rank_out_of_range(r):
+    inst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=1e-3, seed=0)
+    with pytest.raises(ValueError, match=f"rank r={r} out of range for n=8"):
+        init_point(inst.objective, inst.constraint, r)
+
+
+def test_fixed_step_solve_takes_one_eigendecomposition(monkeypatch):
+    # Initialization reads X_0 and U_0 off one n x n eigh; the fixed step takes
+    # the spectral norms of X_0 and grad f(X_0) from two n x n eigvalsh.
+    inst = gen_qst(q=5, r=2, c_sam=2.0, noise_norm=1e-3, seed=0)
+    n = inst.dim
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls[_name] += np.shape(a) == (n, n)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    _, trace = projfgd_solve(inst, SolverConfig(rank=2, max_iters=5))
+    assert trace.n_iters == 5
+    assert calls == {"eigh": 1, "eigvalsh": 2}
+
+
 # ---------------------------------------------------------------------------
 # step_size
 # ---------------------------------------------------------------------------
