@@ -15,8 +15,7 @@ __all__ = [
     "require_hermitian",
     "trace_inner",
     "spectral_norm",
-    "gram_norm",
-    "gram_diff_norm",
+    "gram_rel_change",
     "psd_project",
     "factor_from_psd",
     "procrustes_align",
@@ -69,25 +68,27 @@ def spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def gram_norm(u):
-    """||U U^H||_2 = sigma_max(U)^2, without forming U U^H."""
-    return float(np.linalg.norm(u, 2)) ** 2
-
-
-def gram_diff_norm(u1, u0):
-    """||U1 U1^H - U0 U0^H||_2 for (n, r) factors, without an n x n matrix.
+def gram_rel_change(u1, u0):
+    """Stopping ratio ||U1 U1^H - U0 U0^H||_2 / ||U1 U1^H||_2 of (n, r) factors,
+    without an n x n matrix; 0 when both Gram matrices vanish, inf when only U1's does.
 
     With D = U1 - U0 and S = U1 + U0 the difference is (D S^H + S D^H) / 2,
     which has no cancellation when U1 is close to U0.  A thin QR
-    [D S] = Q [R_D R_S] reduces it to the eigenvalues of the Hermitian
-    core (R_D R_S^H + R_S R_D^H) / 2 of size at most 2r x 2r.
+    [D S] = Q [R_D R_S] reduces it to the Hermitian core
+    (R_D R_S^H + R_S R_D^H) / 2, and U1 = (D + S) / 2 to R_1 = (R_D + R_S) / 2,
+    so ||U1 U1^H||_2 = lambda_max(R_1 R_1^H).  One batched eigvalsh of the
+    two cores, each at most 2r x 2r, gives both norms.
     """
     d = u1 - u0
     s = u1 + u0
-    r = np.linalg.qr(np.hstack([d, s]), mode="r")
-    k = d.shape[1]
-    core = r[:, :k] @ r[:, k:].conj().T
-    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (core + core.conj().T)))))
+    rd, rs = np.hsplit(np.linalg.qr(np.hstack([d, s]), mode="r"), 2)
+    core = rd @ rs.conj().T
+    r1 = 0.5 * (rd + rs)
+    cores = np.stack([0.5 * (core + core.conj().T), r1 @ r1.conj().T])
+    diff, top = np.max(np.abs(np.linalg.eigvalsh(cores)), axis=1)
+    if top and u1.any():  # for U1 = 0, R_D + R_S holds only rounding
+        return float(diff / top)
+    return 0.0 if diff == 0.0 else float("inf")
 
 
 def psd_project(m):

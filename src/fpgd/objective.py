@@ -49,8 +49,11 @@ def _encode_array(a):
 
 
 def _decode_array(doc, complex_field, shape):
-    """Inverse of ``_encode_array``; ``doc`` may nest one list per matrix."""
+    """Inverse of ``_encode_array``; ``doc`` may nest one list per matrix.
+    Refuses NaN and infinite entries."""
     arr = np.array(doc, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("array holds a non-finite number (NaN or Infinity)")
     if complex_field:
         arr = arr.reshape(-1, 2).view(complex)
     return arr.reshape(shape)
@@ -298,7 +301,7 @@ class MeasurementEnsemble:
             keys = " and ".join(repr(form.json_key) for form in _FORMS)
             raise ValueError(f"ensemble JSON needs exactly one of {keys}")
         operator = forms[0].from_json_rows(doc[forms[0].json_key], n, field == "complex")
-        return cls(operator, np.array(doc["y"], dtype=float), float(doc["noise_norm"]))
+        return cls(operator, _decode_array(doc["y"], False, (len(doc["y"]),)), float(doc["noise_norm"]))
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -161,8 +161,8 @@ class ProblemInstance:
             doc = json.load(fh)
         n = ensemble.dim
         rank = int(doc["rank"])
-        if rank < 1:  # reshaping to (n, -1) would accept -1
-            raise ValueError(f"rank must be positive, got {rank}")
+        if not 1 <= rank <= n:  # reshaping to (n, -1) would accept -1
+            raise ValueError(f"rank={rank} must be in [1, n = {n}]")
         complex_field = ensemble.field == "complex"
         return cls(
             objective=Objective(ensemble),

@@ -12,8 +12,8 @@ Stopping is the spectral-norm criterion
 ||X_{t+1} - X_t||_2 / ||X_{t+1}||_2 <= tol.
 
 The loop never forms X = U U^H: it reads the operator through
-``apply_factored``/``adjoint_times`` and takes both stopping norms in
-factor space (sigma_max(U)^2 and a 2r x 2r core).
+``apply_factored``/``adjoint_times`` and takes both stopping norms from
+one thin QR of [U_{t+1} - U_t, U_{t+1} + U_t] (``gram_rel_change``).
 """
 
 import json
@@ -24,8 +24,7 @@ import numpy as np
 
 from .linalg import (
     factor_from_psd,
-    gram_diff_norm,
-    gram_norm,
+    gram_rel_change,
     procrustes_dist,
     spectral_norm,
 )
@@ -120,7 +119,7 @@ def _init(obj, constraint, r):
         raise ValueError(f"rank r={r} out of range for n={n}")
     f = factor_from_psd(ens.adjoint(2.0 * ens.y), n) / np.sqrt(obj.smoothness())
     u0, _ = constraint.project(f[:, :r])
-    return f @ f.conj().T, u0
+    return f, u0
 
 
 def init_point(obj, constraint, r):
@@ -173,10 +172,10 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
     t0 = time.perf_counter()
 
     if u0 is None:
-        x_ref, u = _init(obj, constraint, cfg.rank)
+        f, u = _init(obj, constraint, cfg.rank)
     else:
         u, _ = constraint.project(np.asarray(u0))
-        x_ref = u @ u.conj().T
+        f = u
 
     trace = SolveTrace()
     res = ens.apply_factored(u) - ens.y
@@ -192,7 +191,7 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
 
     eta = None
     if cfg.step_mode == "fixed_from_init":
-        denom = _step_denominator(obj, x_ref)
+        denom = _step_denominator(obj, f @ f.conj().T)
         if denom == 0.0:
             trace.status = "converged"  # zero gradient at a zero iterate: fixed point
             trace.elapsed_ms = 1e3 * (time.perf_counter() - t0)
@@ -215,15 +214,7 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
 
         res = ens.apply_factored(u_next) - ens.y
         f_val = float(res @ res)
-        if not np.isfinite(f_val):
-            rel_change = float("inf")  # skip the norms of a blown-up iterate
-        else:
-            denom_norm = gram_norm(u_next)
-            diff_norm = gram_diff_norm(u_next, u)
-            if denom_norm == 0.0:
-                rel_change = 0.0 if diff_norm == 0.0 else float("inf")
-            else:
-                rel_change = diff_norm / denom_norm
+        rel_change = gram_rel_change(u_next, u) if np.isfinite(f_val) else float("inf")
         dist = (
             procrustes_dist(u_next, instance.truth_factor)
             if cfg.record_truth_dist

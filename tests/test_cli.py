@@ -574,7 +574,8 @@ _INSTANCE_KEYS = (
 
 def solve_mutated_instance(tmp_path, where, key, value):
     """``fpgd solve`` on a saved q=1 QST instance whose ``key`` in ``where``
-    (a file name, or ``"constraint"``) is set to ``value`` or, for ``_DROP``, removed."""
+    (a file name, or ``"constraint"``) is set to ``value`` or, for ``_DROP``, removed.
+    A callable ``value`` is given the block and returns the new value of ``key``."""
     gen_qst(q=1, r=1, c_sam=2.0).save(tmp_path / "ensemble.json", tmp_path / "instance.json")
     path = tmp_path / ("ensemble.json" if where == "ensemble.json" else "instance.json")
     doc = json.loads(path.read_text())
@@ -582,7 +583,7 @@ def solve_mutated_instance(tmp_path, where, key, value):
     if value is _DROP:
         del block[key]
     else:
-        block[key] = value
+        block[key] = value(block) if callable(value) else value
     write_json(path, doc)
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {
@@ -593,6 +594,18 @@ def solve_mutated_instance(tmp_path, where, key, value):
     return main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
+def _rank_one_vectors_with_nan(doc):
+    # The q=1 operators replaced by as many rank-one operators a a^H, one entry of the last a NaN.
+    m = len(doc.pop("operators"))
+    return [[[1.0, 0.0], [0.0, 0.5]]] * (m - 1) + [[[float("nan"), 0.0], [0.0, 0.5]]]
+
+
+def _rank_above_n_with_factor(doc):
+    # rank 3 for n = 2, with a truth_factor of the 2 x 3 shape it names.
+    doc["truth_factor"] = [[0.5, 0.0]] * 6
+    return 3
+
+
 @pytest.mark.parametrize("where, key, value", [
     ("constraint", "lam", None),
     ("ensemble.json", "operators", 5),
@@ -601,7 +614,12 @@ def solve_mutated_instance(tmp_path, where, key, value):
     ("ensemble.json", "dim", float("inf")),
     ("ensemble.json", "dim", 10**6),  # refused before 10^12 reals per operator are allocated
     ("ensemble.json", "operators", [[[0, 0], [1, 0], [0, 0], [0, 0]]] * 3),  # not Hermitian
-], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "dim_huge", "not_hermitian"])
+    ("ensemble.json", "y", lambda doc: doc["y"][:-1] + [float("nan")]),
+    ("ensemble.json", "vectors", _rank_one_vectors_with_nan),
+    ("instance.json", "truth_factor", lambda doc: [[float("inf"), 0.0]] + doc["truth_factor"][1:]),
+    ("instance.json", "rank", _rank_above_n_with_factor),
+], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "dim_huge", "not_hermitian",
+        "y_nan", "vectors_nan", "truth_factor_infinite", "rank_above_n"])
 def test_malformed_instance_file_exits_64_naming_it(tmp_path, capsys, where, key, value):
     assert solve_mutated_instance(tmp_path, where, key, value) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from oracles import dense_stack
 
 from fpgd.linalg import (
-    gram_diff_norm,
-    gram_norm,
+    gram_rel_change,
     is_hermitian,
     procrustes_dist,
     project_frobenius_ball,
@@ -204,7 +203,7 @@ def test_packed_dense_form_refuses_non_hermitian_and_survives_save_load(spec):
 
 
 factor_pairs = st.tuples(
-    st.sampled_from(["random", "near", "rank_deficient", "zero_old", "zero_both"]),
+    st.sampled_from(["random", "near", "rank_deficient", "zero_old", "zero_both", "zero_new"]),
     st.booleans(),  # complex field
     st.integers(1, 6),  # n
     st.integers(1, 3),  # r
@@ -215,8 +214,9 @@ factor_pairs = st.tuples(
 @PROPERTY_SETTINGS
 @given(factor_pairs)
 def test_factor_space_norms_match_dense(spec):
-    # ||U1 U1^H - U0 U0^H||_2 and ||U1 U1^H||_2 without an n x n matrix
-    # agree with spectral_norm of the dense matrices.
+    # ||U1 U1^H - U0 U0^H||_2 / ||U1 U1^H||_2 without an n x n matrix agrees
+    # with the ratio of spectral_norm of the dense matrices; it is exactly 0
+    # when both vanish and inf when only U1 U1^H does.
     kind, complex_field, n, r, seed = spec
     rng = np.random.default_rng(seed)
     u0 = _draw(rng, (n, r), complex_field)
@@ -231,10 +231,18 @@ def test_factor_space_norms_match_dense(spec):
     elif kind == "zero_both":
         u0[:] = 0.0
         u1[:] = 0.0
+    elif kind == "zero_new":
+        u1[:] = 0.0
     x0, x1 = u0 @ u0.conj().T, u1 @ u1.conj().T
-    scale = max(spectral_norm(x1), spectral_norm(x0))
-    assert abs(gram_diff_norm(u1, u0) - spectral_norm(x1 - x0)) <= REL * scale
-    assert abs(gram_norm(u1) - spectral_norm(x1)) <= REL * scale
+    top = spectral_norm(x1)
+    ratio = gram_rel_change(u1, u0)
+    if top == 0.0:
+        assert ratio == (0.0 if kind == "zero_both" else float("inf"))
+        return
+    dense = spectral_norm(x1 - x0) / top
+    # Both norms within REL * max(||X1||_2, ||X0||_2) bound the ratio's error by this.
+    scale = max(top, spectral_norm(x0))
+    assert abs(ratio - dense) <= REL * (scale / top) * (1.0 + dense)
 
 
 projection_cases = st.tuples(

@@ -103,6 +103,24 @@ def test_fixed_step_solve_takes_one_eigendecomposition(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
+def test_fixed_step_solve_takes_no_two_norm(monkeypatch):
+    # Both stopping norms come from the eigenvalues of gram_rel_change's two
+    # small cores, so no iteration calls np.linalg.norm(., 2), an SVD.
+    inst = gen_qst(q=5, r=2, c_sam=2.0, noise_norm=1e-3, seed=0)
+    orders = []
+    original = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    _, trace = projfgd_solve(inst, SolverConfig(rank=2, max_iters=5))
+    assert trace.n_iters == 5
+    assert orders.count(None) >= 5  # the factored gradient norm, once per iteration
+    assert orders.count(2) == 0
+
+
 # ---------------------------------------------------------------------------
 # step_size
 # ---------------------------------------------------------------------------
