@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import SUITE_NAMES, relative_error, run_suite
+from .objective import _number
 from .problems import ProblemInstance, gen_phase_retrieval, gen_qst, gen_synthetic
 from .solver import (
     SolverConfig,
@@ -101,11 +102,6 @@ def _json_type(kind, name):
 
 
 _object, _list, _bool = _json_type(dict, "object"), _json_type(list, "list"), _json_type(bool, "boolean")
-
-
-def _number(convert):
-    # ``convert``, refusing a JSON boolean (passed on as None): int(true) is 1, yet true is no number.
-    return lambda value: convert(None if isinstance(value, bool) else value)
 
 
 _int, _float = _number(int), _number(float)

@@ -59,6 +59,11 @@ def _decode_array(doc, complex_field, shape):
     return arr.reshape(shape)
 
 
+def _number(convert):
+    # ``convert``, refusing a JSON boolean (passed on as None): int(true) is 1, yet true is no number.
+    return lambda value: convert(None if isinstance(value, bool) else value)
+
+
 def _packed_width(n, complex_field):
     # Real degrees of freedom of an n x n Hermitian (n^2) or real symmetric (n(n+1)/2) matrix.
     return n * n if complex_field else n * (n + 1) // 2
@@ -206,8 +211,8 @@ class MeasurementEnsemble:
 
     def __init__(self, operators, y, noise_norm=0.0):
         y = np.asarray(y, dtype=float)
-        if not noise_norm >= 0:  # NaN fails too
-            raise ValueError("noise_norm must be non-negative")
+        if not 0 <= noise_norm < np.inf:  # NaN fails too
+            raise ValueError("noise_norm must be finite and non-negative")
         if not isinstance(operators, _FORMS):
             a = np.ascontiguousarray(operators)
             if a.ndim != 2 and (a.ndim != 3 or a.shape[1] != a.shape[2]):
@@ -292,7 +297,7 @@ class MeasurementEnsemble:
     @classmethod
     def from_json_dict(cls, doc):
         """Inverse of ``to_json_dict``; the form named by its key decodes its rows."""
-        n = int(doc["dim"])
+        n = _number(int)(doc["dim"])
         field = doc["field"]
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}")
@@ -301,7 +306,8 @@ class MeasurementEnsemble:
             keys = " and ".join(repr(form.json_key) for form in _FORMS)
             raise ValueError(f"ensemble JSON needs exactly one of {keys}")
         operator = forms[0].from_json_rows(doc[forms[0].json_key], n, field == "complex")
-        return cls(operator, _decode_array(doc["y"], False, (len(doc["y"]),)), float(doc["noise_norm"]))
+        y = _decode_array(doc["y"], False, (len(doc["y"]),))
+        return cls(operator, y, _number(float)(doc["noise_norm"]))
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import gaussian, project_frobenius_ball, project_l1_ball
-from .objective import DenseStack, MeasurementEnsemble, Objective, RankOne, _decode_array, _encode_array
+from .objective import DenseStack, MeasurementEnsemble, Objective, RankOne, _decode_array, _encode_array, _number
 
 __all__ = [
     "ConstraintSet",
@@ -93,7 +93,7 @@ class ConstraintSet:
         if kind == "unconstrained":
             return unconstrained()
         if kind in ("frobenius_ball", "l1_ball"):
-            return (frobenius_ball if kind == "frobenius_ball" else l1_ball)(doc["lam"])
+            return (frobenius_ball if kind == "frobenius_ball" else l1_ball)(_number(float)(doc["lam"]))
         raise ValueError(f"unknown constraint kind {kind!r}")
 
 
@@ -160,7 +160,7 @@ class ProblemInstance:
         with open(companion_path) as fh:
             doc = json.load(fh)
         n = ensemble.dim
-        rank = int(doc["rank"])
+        rank = _number(int)(doc["rank"])
         if not 1 <= rank <= n:  # reshaping to (n, -1) would accept -1
             raise ValueError(f"rank={rank} must be in [1, n = {n}]")
         complex_field = ensemble.field == "complex"
@@ -168,7 +168,7 @@ class ProblemInstance:
             objective=Objective(ensemble),
             truth_factor=_decode_array(doc["truth_factor"], complex_field, (n, rank)),
             constraint=ConstraintSet.from_json_dict(doc["constraint"]),
-            seed=int(doc["seed"]),
+            seed=_number(int)(doc["seed"]),
         )
 
 
@@ -198,14 +198,6 @@ def pauli_operator(q, index, normalize=True):
     return op
 
 
-def _int_to_pauli_string(value, q):
-    digits = []
-    for _ in range(q):
-        digits.append(str(value % 4))
-        value //= 4
-    return "".join(reversed(digits))
-
-
 def _sample_distinct_paulis(q, m, rng):
     total = 4**q
     if m > total:
@@ -220,8 +212,7 @@ def _sample_distinct_paulis(q, m, rng):
             if candidate not in seen:
                 seen.add(candidate)
                 picks.append(candidate)
-        picks = np.array(picks)
-    return [_int_to_pauli_string(int(v), q) for v in picks]
+    return [np.base_repr(int(v), 4).zfill(q) for v in picks]
 
 
 def _mem_available_bytes():
@@ -290,16 +281,7 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     rng = np.random.default_rng(seed)
     strings = _sample_distinct_paulis(q, m, rng)
     scale = n**1.5 / np.sqrt(m)
-    buf = np.empty((n, n), dtype=complex)
-
-    def scaled_paulis():
-        # Written in place: two more n x n temporaries per operator made the allocator
-        # return and refault heap pages each time (~96 faults per operator at q=7).
-        for s in strings:
-            op = np.divide(pauli_operator(q, s, normalize=False), np.sqrt(2.0**q), out=buf)
-            yield np.multiply(scale, op, out=op)
-
-    ops = DenseStack(scaled_paulis(), m, n, True)  # packed one by one: no (m, n, n) stack
+    ops = DenseStack((scale * pauli_operator(q, s) for s in strings), m, n, True)  # no (m, n, n) stack
 
     basis, _ = np.linalg.qr(gaussian(rng, (n, r), True))
     spectrum = rng.dirichlet(np.ones(r))

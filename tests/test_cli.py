@@ -373,6 +373,7 @@ NAN = float("nan")
      (dict(QST_PROBLEM, c_sam=1e308), "measurement count"),
      ({"kind": "phase_retrieval", "n": 10**6, "sparsity": 1, "m": 10**10}, "bytes available"),
      (dict(QST_PROBLEM, noise=NAN), "noise_norm must be"),
+     (dict(QST_PROBLEM, noise=float("inf")), "noise_norm must be finite and non-negative"),
      ({"kind": "phase_retrieval", "n": 8, "sparsity": 2, "m": 16, "lam": NAN}, "lam must be"),
      ({"kind": "synthetic", "n": 4, "r": 1, "m": 8, "condition_number": NAN}, "condition_number must be"),
      ({"kind": "synthetic", "n": 6, "r": 0, "m": 8}, "r=0 must be in [1, n = 6]"),
@@ -381,7 +382,7 @@ NAN = float("nan")
      ({"kind": "phase_retrieval", "n": 8, "sparsity": 0, "m": 16}, "sparsity=0 must be in [1, n = 8]"),
      ({"kind": "phase_retrieval", "n": 8, "sparsity": -1, "m": 16}, "sparsity=-1 must be in [1, n = 8]")],
     ids=["c_sam_too_small", "memory_guard", "c_sam_overflow", "phase_retrieval_memory_guard",
-         "noise_nan", "lam_nan", "condition_number_nan", "synthetic_rank_zero", "qst_rank_zero",
+         "noise_nan", "noise_infinite", "lam_nan", "condition_number_nan", "synthetic_rank_zero", "qst_rank_zero",
          "qst_rank_negative", "sparsity_zero", "sparsity_negative"],
 )
 def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem, message):
@@ -618,8 +619,14 @@ def _rank_above_n_with_factor(doc):
     ("ensemble.json", "vectors", _rank_one_vectors_with_nan),
     ("instance.json", "truth_factor", lambda doc: [[float("inf"), 0.0]] + doc["truth_factor"][1:]),
     ("instance.json", "rank", _rank_above_n_with_factor),
+    ("ensemble.json", "noise_norm", float("inf")),
+    ("instance.json", "rank", True),
+    ("instance.json", "seed", True),
+    ("ensemble.json", "noise_norm", False),
+    ("constraint", "lam", True),
 ], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "dim_huge", "not_hermitian",
-        "y_nan", "vectors_nan", "truth_factor_infinite", "rank_above_n"])
+        "y_nan", "vectors_nan", "truth_factor_infinite", "rank_above_n", "noise_norm_infinite", "rank_bool",
+        "seed_bool", "noise_norm_bool", "lam_bool"])
 def test_malformed_instance_file_exits_64_naming_it(tmp_path, capsys, where, key, value):
     assert solve_mutated_instance(tmp_path, where, key, value) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -11,6 +11,7 @@ from fpgd.linalg import (
     project_frobenius_ball,
     project_l1_ball,
     psd_project,
+    spectral_norm,
     trace_inner,
 )
 
@@ -110,6 +111,20 @@ def test_psd_project_variational_inequality():
         g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         witness = g @ g.conj().T
         assert trace_inner(p - witness, m - p) >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# spectral_norm
+# ---------------------------------------------------------------------------
+
+
+def test_spectral_norm_branches():
+    # Hermitian input takes |eigenvalues|; non-Hermitian and non-square input
+    # the general 2-norm; an empty matrix has norm 0.
+    assert spectral_norm(np.diag([3.0, 1.0, -4.0])) == 4.0
+    for m in (np.array([[0.0, 2.0], [0.0, 0.0]]), np.arange(6.0).reshape(2, 3)):
+        assert spectral_norm(m) == np.linalg.norm(m, 2)
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
 # ---------------------------------------------------------------------------

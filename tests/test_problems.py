@@ -151,13 +151,17 @@ def test_qst_pauli_strings_distinct():
     assert len(strings) == len(set(strings))
 
 
-def test_qst_operators_are_scaled_paulis_bit_for_bit():
-    # The stack is filled in place; every byte (signed zeros included) must
-    # equal scale * pauli_operator(q, s), the normalized kron product scaled.
-    inst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=0.0, seed=4)
+@pytest.mark.parametrize("q", [3, 5])
+def test_qst_operators_are_scaled_paulis_bit_for_bit(q):
+    # Every byte (signed zeros included) must equal scale * pauli_operator(q, s),
+    # the normalized kron product scaled.  m = 50 of 64 strings (q = 3) are drawn
+    # by permutation, m = 333 of 1024 (q = 5) by rejection, zero-padded ones among them.
+    inst = gen_qst(q=q, r=1, c_sam=3.0, noise_norm=0.0, seed=4)
     ens = inst.objective.ensemble
-    scale = 8**1.5 / np.sqrt(ens.m)
-    expected = np.stack([scale * pauli_operator(3, s) for s in inst.meta["pauli_strings"]])
+    strings = inst.meta["pauli_strings"]
+    assert all(len(s) == q for s in strings)
+    scale = (2**q) ** 1.5 / np.sqrt(ens.m)
+    expected = np.stack([scale * pauli_operator(q, s) for s in strings])
     assert dense_stack(ens).tobytes() == expected.tobytes()
 
 
