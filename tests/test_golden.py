@@ -2,8 +2,10 @@
 
 The fixtures under ``tests/data/golden/<case>/`` hold ``trace.csv`` and
 ``summary.json`` (without the wall-clock ``elapsed_ms``) of ``fpgd solve``,
-``ensemble.json`` / ``instance.json`` of ``fpgd generate``, and the
-``report_<suite>.json`` of ``fpgd verify <suite> --seed 3`` for every suite.
+``ensemble.json`` / ``instance.json`` of ``fpgd generate``, ``sweep.csv``
+of ``fpgd sweep`` (without its last column, the wall-clock ``elapsed_ms``),
+and the ``report_<suite>.json`` of ``fpgd verify <suite> --seed 3`` for
+every suite.
 Rewrite them only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py tests/data/golden
@@ -62,6 +64,13 @@ GENERATE_CASES = {
     },
 }
 
+SWEEP_CASES = {
+    "sweep_qst_q3": {
+        "seed": 5,
+        "sweep": {"q": [3], "r": [1], "c_sam": [2.0, 3.0], "seeds": 2, "noise": 1e-3},
+        "solver": {"tol": 5e-6, "step_size_constant": 0.5},
+    },
+}
 
 VERIFY_CASES = {"verify_seed3": {"seed": 3}}
 
@@ -79,6 +88,9 @@ def run_case(command, doc, workdir):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     if command == "generate":
         return {name: (out / name).read_bytes() for name in ("ensemble.json", "instance.json")}
+    if command == "sweep":
+        lines = (out / "sweep.csv").read_text().splitlines()
+        return {"sweep.csv": "".join(line.rsplit(",", 1)[0] + "\n" for line in lines).encode()}
     summary = json.loads((out / "summary.json").read_text())
     del summary["elapsed_ms"]
     return {
@@ -89,7 +101,8 @@ def run_case(command, doc, workdir):
 
 ALL_CASES = [
     (command, name, doc)
-    for command, cases in (("solve", SOLVE_CASES), ("generate", GENERATE_CASES), ("verify", VERIFY_CASES))
+    for command, cases in (("solve", SOLVE_CASES), ("generate", GENERATE_CASES), ("sweep", SWEEP_CASES),
+                           ("verify", VERIFY_CASES))
     for name, doc in cases.items()
 ]
 
@@ -156,6 +169,15 @@ def test_outputs_match_golden_files(command, name, doc, tmp_path):
         assert data == golden, (
             f"{name}/{file_name} differs: {describe_difference(file_name, data, golden)}"
         )
+
+
+def test_sweep_rows_do_not_depend_on_grid_key_order(tmp_path):
+    # The golden grid with its keys reversed and c_sam as JSON integers writes the same bytes.
+    doc = SWEEP_CASES["sweep_qst_q3"]
+    grid = {key: doc["sweep"][key] for key in reversed(doc["sweep"])}
+    grid["c_sam"] = [int(c_sam) for c_sam in grid["c_sam"]]
+    outputs = run_case("sweep", dict(doc, sweep=grid), tmp_path)
+    assert outputs["sweep.csv"] == (GOLDEN / "sweep_qst_q3" / "sweep.csv").read_bytes()
 
 
 def write_fixtures(root):
