@@ -57,13 +57,10 @@ def canonical_config_bytes(doc):
 
 
 def load_config(path):
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
     try:
-        with open(p) as fh:
+        with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -121,39 +118,49 @@ def _seed_and_out(args, doc):
     return seed, out
 
 
+def _load_files(ensemble_file, companion_file, seed):
+    # The "files" kind: an instance saved by ``fpgd generate``, which keeps the seed it was made with.
+    try:
+        return ProblemInstance.load(ensemble_file, companion_file)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"malformed instance files {ensemble_file}, {companion_file}: {exc!r}") from exc
+
+
+# Each problem kind: the name of its generator in this module, then its required and its optional
+# keys with their converters, in the generator's signature order ("noise" is noise_norm).
+_KINDS = {
+    "qst": ("gen_qst", {"q": _int, "r": _int, "c_sam": _float}, {"noise": _float}),
+    "phase_retrieval": ("gen_phase_retrieval", {"n": _int, "sparsity": _int, "m": _int},
+                        {"noise": _float, "lam": _optional_float}),
+    "synthetic": ("gen_synthetic", {"n": _int, "r": _int, "m": _int},
+                  {"condition_number": _float, "noise": _float}),
+    "files": ("_load_files", {"ensemble_file": Path, "companion_file": Path}, {}),
+}
+
+
+def _kind(problem):
+    # The kind a problem block names, and the keys that kind reads, with their converters.
+    kind = _require(problem, "kind", "problem")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    _, required, optional = _KINDS[kind]
+    return kind, {**required, **optional}
+
+
+def parse_problem(problem):
+    """The problem block cut to its kind and the keys that kind reads, each converted, in signature
+    order.  An unknown kind or a missing or malformed key is a ConfigError; nothing is generated."""
+    kind, keys = _kind(problem)
+    return {"kind": kind, **{key: _require(problem, key, "problem", convert)
+                             for key, convert in keys.items() if key in problem or key in _KINDS[kind][1]}}
+
+
 def build_instance(problem, seed):
-    # Parsing errors are ConfigErrors; the generators' own errors pass through.
-    def get(key, convert):
-        return _require(problem, key, "problem", convert)
-
-    def given(convert, **keywords):  # generator keyword -> problem key, for the keys set
-        return {kw: get(key, convert) for kw, key in keywords.items() if key in problem}
-
-    kind = get("kind", None)
-    if kind == "qst":
-        return gen_qst(q=get("q", _int), r=get("r", _int), c_sam=get("c_sam", _float),
-                       seed=seed, **given(_float, noise_norm="noise"))
-    if kind == "phase_retrieval":
-        return gen_phase_retrieval(
-            n=get("n", _int), sparsity=get("sparsity", _int), m=get("m", _int), seed=seed,
-            **given(_float, noise_norm="noise"), **given(_optional_float, lam="lam"),
-        )
-    if kind == "synthetic":
-        return gen_synthetic(
-            n=get("n", _int), r=get("r", _int), m=get("m", _int), seed=seed,
-            **given(_float, condition_number="condition_number", noise_norm="noise"),
-        )
-    if kind == "files":
-        ensemble = get("ensemble_file", Path)
-        companion = get("companion_file", Path)
-        for p in (ensemble, companion):
-            if not p.is_file():
-                raise FileNotFoundError(f"instance file not found (or not a file): {p}")
-        try:
-            return ProblemInstance.load(ensemble, companion)
-        except (ValueError, TypeError, KeyError, OverflowError) as exc:
-            raise ConfigError(f"malformed instance files {ensemble}, {companion}: {exc!r}") from exc
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    # Parsing errors are ConfigErrors; the generators' own errors pass through.  The generator is
+    # looked up when called, so a replaced ``fpgd.cli.gen_*`` is the one called.
+    values = parse_problem(problem)
+    generator = globals()[_KINDS[values.pop("kind")][0]]
+    return generator(**{"noise_norm" if key == "noise" else key: v for key, v in values.items()}, seed=seed)
 
 
 def build_solver_config(solver, rank):
@@ -215,58 +222,54 @@ def _cell_seed(root_seed, index):
 
 def _run_sweep_cell(payload):
     problem, seed, cfg, algorithm = payload
-    cell = {"q": problem["q"], "r": problem["r"], "c_sam": problem["c_sam"], "seed": seed}
     try:
         trace, rel = _solve_and_score(build_instance(problem, seed), cfg, algorithm)
-        return dict(cell, iters=trace.n_iters, rel_error=rel,
-                    elapsed_ms=trace.elapsed_ms, status=trace.status)
+        return trace.n_iters, rel, trace.elapsed_ms, trace.status
     except Exception as exc:  # failure is recorded in-row, sweep continues
-        log.error("sweep cell (q=%s, r=%s, c_sam=%s, seed=%s) failed: %s", *cell.values(), exc)
-        return dict(cell, iters=-1, rel_error=float("nan"), elapsed_ms=float("nan"), status="error")
+        log.error("sweep cell %s (seed=%s) failed: %s", problem, seed, exc)
+        return -1, float("nan"), float("nan"), "error"
 
 
 def cmd_sweep(args):
     doc = load_config(args.config)
     root_seed, out = _seed_and_out(args, doc)
+    fixed = _require(doc, "problem", "config", _object, {"kind": "qst"})
     grid = _require(doc, "sweep", "config", _object)
-    qs = _require(grid, "q", "sweep", lambda vs: [_int(v) for v in _list(vs)])
-    rs = _require(grid, "r", "sweep", lambda vs: [_int(v) for v in _list(vs)])
-    c_sams = _require(grid, "c_sam", "sweep", lambda vs: [_float(v) for v in _list(vs)])
     n_seeds = _require(grid, "seeds", "sweep", _int, 1)
-    noise = {"noise": _require(grid, "noise", "sweep", _float)} if "noise" in grid else {}
+    # Every other sweep key is an axis: a list of values of a problem key that the problem block leaves out.
+    kind, keys = _kind(fixed)
+    for key in grid:
+        if key != "seeds" and (key not in keys or key in fixed):
+            why = "the problem block sets it too" if key in fixed else f"a {kind!r} problem has no such key"
+            raise ConfigError(f"sweep key {key!r}: {why}")
+    if not isinstance(grid.get("noise", []), list):  # one noise level for every cell
+        fixed = dict(fixed, noise=grid["noise"])
+    axes = {key: _require(grid, key, "sweep", _list) for key in keys if key in grid and key not in fixed}
     # Checked once: a bad block fails before any cell runs.
     cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}), rank=1)
 
-    grid_order = itertools.product(qs, rs, c_sams, range(n_seeds))
-    cells = [
-        ({"kind": "qst", "q": q, "r": r, "c_sam": c_sam, **noise},
-         _cell_seed(root_seed, index), cfg, algorithm)
-        for index, (q, r, c_sam, _) in enumerate(grid_order)
+    grid_order = itertools.product(*axes.values(), range(n_seeds))
+    cells = [  # every cell parsed before any runs
+        (parse_problem({**fixed, **dict(zip(axes, point))}), _cell_seed(root_seed, index), cfg, algorithm)
+        for index, (*point, _) in enumerate(grid_order)
     ]
     if not cells:  # an empty list or seeds < 1; else sweep.csv holds only its header
-        raise ConfigError(f"sweep grid has no cells: q {qs}, r {rs}, c_sam {c_sams}, seeds {n_seeds}")
+        raise ConfigError(f"sweep grid has no cells: {axes}, seeds {n_seeds}")
 
     if args.jobs and args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(cells))) as pool:
             rows = list(pool.map(_run_sweep_cell, cells))
     else:
         rows = [_run_sweep_cell(c) for c in cells]
 
-    lines = ["q,r,c_sam,seed,iters,rel_error,elapsed_ms"]
-    for row in rows:  # buffered and emitted in grid order
-        lines.append(
-            f"{row['q']},{row['r']},{row['c_sam']!r},{row['seed']},"
-            f"{row['iters']},{row['rel_error']!r},{row['elapsed_ms']!r}"
-        )
+    lines = [",".join([*axes, "seed", "iters", "rel_error", "elapsed_ms"])]
+    lines += [",".join(map(str, [*(problem[key] for key in axes), seed, *row[:3]]))  # in grid order
+              for (problem, seed, _, _), row in zip(cells, rows)]
     with open(out / "sweep.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"{len(rows)} cells -> {out / 'sweep.csv'}")
-    statuses = {row["status"] for row in rows}
-    if "error" in statuses or "diverged" in statuses:
-        return EXIT_NUMERIC
-    if "max_iters" in statuses:
-        return EXIT_MAX_ITERS
-    return EXIT_OK
+    # A failed or diverged cell (exit 1) outranks an exhausted iteration budget (exit 2).
+    return min({_status_exit(row[3]) for row in rows} - {EXIT_OK}, default=EXIT_OK)
 
 
 def cmd_verify(args):
@@ -314,39 +317,32 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True, jobs=False):
+    def command(name, handler, summary, needs_config=True, jobs=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if needs_config:
             p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed override")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+        return p
 
-    p_solve = sub.add_parser("solve", help="run one solve; writes trace.csv and summary.json")
-    common(p_solve)
-    p_sweep = sub.add_parser("sweep", help="run a (q, r, c_sam, seed) grid; writes sweep.csv")
-    common(p_sweep, jobs=True)
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
+    command("solve", cmd_solve, "run one solve; writes trace.csv and summary.json")
+    command("sweep", cmd_sweep, "run a grid of problems and seeds; writes sweep.csv", jobs=True)
+    p_verify = command("verify", cmd_verify, "run a named verification suite", needs_config=False)
     p_verify.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
-    common(p_verify, needs_config=False)
-    p_gen = sub.add_parser("generate", help="write ensemble.json and instance.json")
-    common(p_gen)
+    command("generate", cmd_generate, "write ensemble.json and instance.json")
     return parser
 
 
 def main(argv=None):
     _configure_logging()
     args = build_parser().parse_args(argv)
-    handler = {
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-        "verify": cmd_verify,
-        "generate": cmd_generate,
-    }[args.command]
     try:
-        return handler(args)
-    except (FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
-        print(str(exc), file=sys.stderr)  # a missing input, or an output path taken by a file
+        return args.handler(args)
+    except (FileNotFoundError, IsADirectoryError, FileExistsError, NotADirectoryError) as exc:
+        print(str(exc), file=sys.stderr)  # an input missing or a directory, an output path taken by a file
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

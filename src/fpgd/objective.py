@@ -69,14 +69,18 @@ def _packed_width(n, complex_field):
     return n * n if complex_field else n * (n + 1) // 2
 
 
+def _checked(operators):
+    return (require_hermitian(op, what=f"operator {i}") for i, op in enumerate(operators))
+
+
 class DenseStack:
     """Storage form: each Hermitian E_i packed into one real row of its
     degrees of freedom, ``diag(E)``, ``Re E[iu]``, ``Im E[iu]`` (complex
     field, n^2 reals) or ``diag(E)``, ``E[iu]`` (real field, n(n+1)/2
     reals), with ``iu`` the strict upper triangle in row-major order.
 
-    ``operators`` is any iterable of the m n x n matrices; each is checked
-    Hermitian as it is packed, so the (m, n, n) stack need never exist.
+    ``operators`` is any iterable of the m n x n matrices, packed one at a time (no (m, n, n) stack).
+    Each must be Hermitian: a generator's are by construction; ``_checked`` refuses the others.
     """
 
     json_key = "operators"
@@ -89,16 +93,16 @@ class DenseStack:
         # Flat positions in an n x n matrix: diagonal (j, j), strict upper triangle (j, k), mirror (k, j).
         j, k = np.triu_indices(n, 1)
         self._diag, self._upper, self._lower = np.arange(n) * (n + 1), j * n + k, k * n + j
-        for i, op in zip(range(m), operators, strict=True):
-            require_hermitian(op, what=f"operator {i}")
-            self._packed(op, out=self.array[i])
+        for row, op in zip(self.array, operators, strict=True):
+            self._packed(op, out=row)
 
     @classmethod
     def from_json_rows(cls, rows, n, complex_field):
-        """The stack of ``json_rows``, decoded and packed one operator at a time."""
+        """The stack of ``json_rows``, decoded, checked and packed one operator at a time."""
         if len(rows):  # a first row that does not fit n fails before the packed rows are allocated
             _decode_array(rows[0], complex_field, (n, n))
-        return cls((_decode_array(row, complex_field, (n, n)) for row in rows), len(rows), n, complex_field)
+        decoded = (_decode_array(row, complex_field, (n, n)) for row in rows)
+        return cls(_checked(decoded), len(rows), n, complex_field)
 
     @staticmethod
     def footprint(m, n, complex_field):
@@ -201,8 +205,8 @@ class MeasurementEnsemble:
     Parameters
     ----------
     operators : a storage form of ``_FORMS``, kept as ``operator``; or an
-        (m, n, n) array of Hermitian matrices E_i, packed into a
-        ``DenseStack``, or an (m, n) array of sensing vectors a_i for the
+        (m, n, n) array of matrices E_i, each checked Hermitian and packed
+        into a ``DenseStack``, or an (m, n) array of sensing vectors a_i for the
         rank-one E_i = a_i a_i^H, kept as a ``RankOne``.
     y : (m,) real observations.
     noise_norm : l2 norm of the additive noise used to produce ``y``
@@ -217,7 +221,7 @@ class MeasurementEnsemble:
             a = np.ascontiguousarray(operators)
             if a.ndim != 2 and (a.ndim != 3 or a.shape[1] != a.shape[2]):
                 raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {a.shape}")
-            operators = RankOne(a) if a.ndim == 2 else DenseStack(a, *a.shape[:2], np.iscomplexobj(a))
+            operators = RankOne(a) if a.ndim == 2 else DenseStack(_checked(a), *a.shape[:2], np.iscomplexobj(a))
         if y.shape != (operators.m,):
             raise ValueError("y length must match the number of operators")
         self.operator = operators

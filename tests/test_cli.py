@@ -453,6 +453,91 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     assert strip(o1) == strip(o2)
 
 
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # A pool launches all of its max_workers at once, so --jobs beyond the cell count would idle.
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, sweep_config([3], [2.0, 3.0], 1))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "8"]) == EXIT_OK
+    assert pools == [2]
+
+
+def run_sweep(tmp_path, problem, grid):
+    doc = {"seed": 5, "problem": problem, "sweep": grid,
+           "solver": {"step_size_constant": 0.5, "max_iters": 3000}}
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, doc)
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    path = tmp_path / "o" / "sweep.csv"
+    return code, path.read_text().splitlines() if path.exists() else None
+
+
+def test_phase_retrieval_sweep(tmp_path):
+    code, lines = run_sweep(tmp_path, {"kind": "phase_retrieval", "n": 16, "sparsity": 2},
+                            {"m": [48, 96], "seeds": 2})
+    assert code == EXIT_OK
+    assert lines[0] == "m,seed,iters,rel_error,elapsed_ms"
+    assert [line.split(",")[0] for line in lines[1:]] == ["48", "48", "96", "96"]
+
+
+def test_synthetic_sweep_over_n(tmp_path):
+    code, lines = run_sweep(tmp_path, {"kind": "synthetic", "r": 1, "m": 48}, {"n": [4, 6], "noise": 1e-3})
+    assert code == EXIT_OK
+    assert lines[0] == "n,seed,iters,rel_error,elapsed_ms"
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "6"]
+
+
+def test_sweep_axes_follow_the_generator_signature(tmp_path, generator_calls):
+    # Columns and cells take the generator's order, not the config's, and a list of noise levels is an axis.
+    code, lines = run_sweep(tmp_path, {"kind": "synthetic", "m": 8},
+                            {"noise": [0.0, 1e-3], "condition_number": [2], "r": [1], "n": [4]})
+    assert code == EXIT_NUMERIC  # every cell refused by the recording generator
+    assert lines[0] == "n,r,condition_number,noise,seed,iters,rel_error,elapsed_ms"
+    assert [line.split(",")[:4] for line in lines[1:]] == [["4", "1", "2.0", "0.0"], ["4", "1", "2.0", "0.001"]]
+    assert [kwargs["noise_norm"] for _, kwargs in generator_calls] == [0.0, 1e-3]
+
+
+@pytest.mark.parametrize("problem, grid, message", [
+    ({"kind": "phase_retrieval", "n": 16, "sparsity": 2, "m": 32}, {"q": [3]}, "'q'"),
+    ({"kind": "phase_retrieval", "n": 16, "sparsity": 2}, {"m": [16, True]}, "invalid 'm'"),
+    ({"kind": "phase_retrieval", "n": 16, "sparsity": 2, "m": 32}, {"m": [48]}, "'m'"),
+    ({"kind": "qst", "q": 3, "r": 1, "c_sam": 2.0, "noise": 0.0}, {"noise": 1e-3}, "'noise'"),
+    ({"q": 3}, {"r": [1]}, "missing key 'kind'"),
+    ({"kind": "warp"}, {"r": [1]}, "unknown problem kind"),
+], ids=["axis_not_read", "later_cell_bad", "key_in_both", "noise_in_both", "kind_missing", "kind_unknown"])
+def test_sweep_refusals_exit_64_before_any_cell(tmp_path, capsys, generator_calls, problem, grid, message):
+    code, lines = run_sweep(tmp_path, problem, grid)
+    assert code == EXIT_USAGE and lines is None and generator_calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+
+
+def test_config_directory_or_non_utf8_exits_64(tmp_path, capsys):
+    folder = tmp_path / "cfg_dir"
+    folder.mkdir()
+    assert main(["solve", "--config", str(folder)]) == EXIT_USAGE
+    assert str(folder) in capsys.readouterr().err
+    binary = tmp_path / "cfg.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["solve", "--config", str(binary), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -532,10 +617,15 @@ _solvers = _block(
     step_mode=st.sampled_from(["fixed_from_init", "adaptive_per_iter"]),
     record_truth_dist=st.booleans(),
 )
-_grids = _block(
-    ["q", "r", "c_sam", "seeds", "noise"],
+_grids = _block(  # every problem key as an axis, beside the seed count
+    ["seeds", "kind", "q", "r", "c_sam", "noise", "n", "sparsity", "m", "lam", "condition_number",
+     "ensemble_file", "companion_file"],
     q=st.lists(st.integers(1, 3), max_size=3), r=st.lists(st.integers(1, 2), max_size=3),
-    c_sam=st.lists(st.floats(0.5, 3.0), max_size=3),
+    c_sam=st.lists(st.floats(0.5, 3.0), max_size=3), n=st.lists(st.integers(1, 8), max_size=3),
+    sparsity=st.lists(st.integers(1, 3), max_size=3), m=st.lists(st.integers(1, 32), max_size=3),
+    noise=st.floats(0.0, 1e-2) | st.lists(st.floats(0.0, 1e-2), max_size=3),
+    lam=st.lists(st.none() | st.floats(0.5, 3.0), max_size=3),
+    condition_number=st.lists(st.floats(1.0, 4.0), max_size=3),
 )
 _configs = st.fixed_dictionaries({}, optional={
     "seed": _values, "out": _values,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import dense_stack
 
-from fpgd import problems
+from fpgd import linalg, problems
 from fpgd.linalg import factor_from_psd, project_frobenius_ball, project_l1_ball
 from fpgd.objective import MeasurementEnsemble, Objective, RankOne, _decode_array, _encode_array
 from fpgd.problems import (
@@ -279,6 +279,19 @@ def test_synthetic_determinism():
     b = gen_synthetic(n=6, r=2, m=20, condition_number=2.0, noise_norm=1e-3, seed=9)
     assert np.array_equal(dense_stack(a.objective.ensemble), dense_stack(b.objective.ensemble))
     assert np.array_equal(a.objective.ensemble.y, b.objective.ensemble.y)
+
+
+def test_generators_make_no_hermitian_check(monkeypatch):
+    # Generated operators are Hermitian by construction (scale * pauli_operator, (g + g^T) / denom);
+    # only operators from outside the program, from a file or an (m, n, n) array, are checked.
+    calls = []
+    check = linalg.is_hermitian
+    monkeypatch.setattr("fpgd.linalg.is_hermitian", lambda *args, **kw: calls.append(1) or check(*args, **kw))
+    qst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=1e-3, seed=1)
+    gen_synthetic(n=6, r=2, m=20, noise_norm=1e-3, seed=2)
+    assert calls == []
+    MeasurementEnsemble(dense_stack(qst.objective.ensemble), qst.objective.ensemble.y)
+    assert len(calls) == qst.objective.ensemble.m
 
 
 # ---------------------------------------------------------------------------
