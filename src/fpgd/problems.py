@@ -156,9 +156,9 @@ class ProblemInstance:
     @classmethod
     def load(cls, ensemble_path, companion_path):
         # The n x n "truth" key of older companions is ignored: X* follows from truth_factor.
-        ensemble = MeasurementEnsemble.load(ensemble_path)
         with open(companion_path) as fh:
             doc = json.load(fh)
+        ensemble = MeasurementEnsemble.load(ensemble_path)
         n = ensemble.dim
         rank = _number(int)(doc["rank"])
         if not 1 <= rank <= n:  # reshaping to (n, -1) would accept -1

@@ -279,6 +279,21 @@ def test_solve_instance_file_that_is_a_directory_exits_64(tmp_path, capsys):
     assert str(folder) in capsys.readouterr().err
 
 
+def test_missing_companion_exits_64_before_the_ensemble_is_read(tmp_path, monkeypatch, capsys):
+    gen_qst(q=1, r=1, c_sam=2.0).save(tmp_path / "ensemble.json", tmp_path / "instance.json")
+    (tmp_path / "instance.json").unlink()
+
+    def no_ensemble(path):
+        raise RuntimeError("ensemble read before the companion was opened")
+
+    monkeypatch.setattr("fpgd.objective.MeasurementEnsemble.load", no_ensemble)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"problem": {"kind": "files", "ensemble_file": str(tmp_path / "ensemble.json"),
+                                 "companion_file": str(tmp_path / "instance.json")}})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert str(tmp_path / "instance.json") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_out_naming_an_existing_file_exits_64(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"
