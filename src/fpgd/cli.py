@@ -109,12 +109,11 @@ def _optional_float(value):
 
 
 def _seed_and_out(args, doc):
-    # --seed and --out override the config's "seed" and "out" (created).
+    # --seed and --out override the config's "seed" and "out"; out is made just before the first write.
     seed = args.seed if args.seed is not None else _require(doc, "seed", "config", _int, 0)
     if seed < 0:  # else numpy's seeding refuses it later, as a generator error
         raise ConfigError(f"seed must be non-negative, got {seed}")
     out = Path(args.out) if args.out else _require(doc, "out", "config", Path, ".")
-    out.mkdir(parents=True, exist_ok=True)
     return seed, out
 
 
@@ -206,6 +205,7 @@ def cmd_solve(args):
              instance.objective.ensemble.m, algorithm)
 
     trace, rel = _solve_and_score(instance, cfg, algorithm)
+    out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     summary = summary_dict(trace, final_rel_error=rel, tol=cfg.tol, seed=seed)
     write_summary_json(summary, out / "summary.json")
@@ -263,8 +263,9 @@ def cmd_sweep(args):
         rows = [_run_sweep_cell(c) for c in cells]
 
     lines = [",".join([*axes, "seed", "iters", "rel_error", "elapsed_ms"])]
-    lines += [",".join(map(str, [*(problem[key] for key in axes), seed, *row[:3]]))  # in grid order
-              for (problem, seed, _, _), row in zip(cells, rows)]
+    lines += [",".join("" if v is None else str(v) for v in [*(problem[key] for key in axes), seed, *row[:3]])
+              for (problem, seed, _, _), row in zip(cells, rows)]  # in grid order; a null axis value is empty
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"{len(rows)} cells -> {out / 'sweep.csv'}")
@@ -279,6 +280,7 @@ def cmd_verify(args):
         return EXIT_USAGE
     seed, out = _seed_and_out(args, {})
     report = run_suite(args.suite, seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"report_{args.suite}.json"
     write_summary_json(report, path)
     print(json.dumps({"suite": args.suite, "violations": report["violations"],
@@ -290,6 +292,7 @@ def cmd_generate(args):
     doc = load_config(args.config)
     seed, out = _seed_and_out(args, doc)
     instance = build_instance(_require(doc, "problem", "config", _object), seed)
+    out.mkdir(parents=True, exist_ok=True)
     ensemble_path = out / "ensemble.json"
     companion_path = out / "instance.json"
     instance.save(ensemble_path, companion_path)

@@ -79,8 +79,8 @@ class DenseStack:
     field, n^2 reals) or ``diag(E)``, ``E[iu]`` (real field, n(n+1)/2
     reals), with ``iu`` the strict upper triangle in row-major order.
 
-    ``operators`` is any iterable of the m n x n matrices, packed one at a time (no (m, n, n) stack).
-    Each must be Hermitian: a generator's are by construction; ``_checked`` refuses the others.
+    ``operators`` is any iterable of the m n x n matrices, packed one at a time (no (m, n, n) stack), or None
+    for zero rows.  Each must be Hermitian: a generator's are by construction, ``_checked`` refuses others.
     """
 
     json_key = "operators"
@@ -88,13 +88,29 @@ class DenseStack:
     def __init__(self, operators, m, n, complex_field):
         self.m, self.dim = m, n
         self.dtype = np.dtype(complex if complex_field else float)
-        self.array = np.empty((m, _packed_width(n, complex_field)))
+        self.array = np.zeros((m, _packed_width(n, complex_field)))
         self.nbytes = self.array.nbytes
         # Flat positions in an n x n matrix: diagonal (j, j), strict upper triangle (j, k), mirror (k, j).
         j, k = np.triu_indices(n, 1)
         self._diag, self._upper, self._lower = np.arange(n) * (n + 1), j * n + k, k * n + j
-        for row, op in zip(self.array, operators, strict=True):
-            self._packed(op, out=row)
+        if operators is not None:
+            for row, op in zip(self.array, operators, strict=True):
+                self._packed(op, out=row)
+
+    @classmethod
+    def from_monomials(cls, blocks, m, n, complex_field):
+        """The m Hermitian matrices with one nonzero per row, E_i[j, cols[i, j]] = values[i, j], from
+        (cols, values) blocks of rows: each entry on or above the diagonal is written into zeroed rows."""
+        stack, start, t = cls(None, m, n, complex_field), 0, n * (n - 1) // 2
+        for cols, values in blocks:
+            i, j = np.nonzero(cols >= np.arange(n))
+            k = cols[i, j]  # (j, k) is packed at j on the diagonal, else at n + its upper-triangle index
+            pos = np.where(k == j, j, n + j * n - j * (j + 1) // 2 + k - j - 1)
+            stack.array[start + i, pos] = values.real[i, j]
+            if complex_field:  # Im (j, k) of the upper triangle lies t places after its real part
+                stack.array[start + i[k > j], pos[k > j] + t] = values.imag[i, j][k > j]
+            start += len(cols)
+        return stack
 
     @classmethod
     def from_json_rows(cls, rows, n, complex_field):

@@ -33,6 +33,10 @@ _PAULI = {
     "3": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# Per digit I, X, Y, Z: its bit in the masks x (X and Y flip the qubit) and z (Y and Z sign it), qubit 0
+# the most significant bit as in np.kron; and (-i)^k for k = #Y mod 4, as (real, imaginary) pairs.
+_XZ, _PHASES = np.array([[0, 1, 1, 0], [0, 0, 1, 1]]), np.array([[1, 0], [0, -1], [-1, 0], [0, 1]])
+
 # Qubit counts past this would need >= 4^13 * 16 bytes per operator batch.
 _MAX_QUBITS = 12
 
@@ -198,6 +202,18 @@ def pauli_operator(q, index, normalize=True):
     return op
 
 
+def _pauli_monomials(q, strings, scale):
+    """(cols, values) of ``scale * pauli_operator(q, s)``, 64 strings s at a time: row j of P_s holds
+    (-i)^{#Y} (-1)^{|j & z|} at column j ^ x.  Parts are c = scale / sqrt(2^q) times 0 or ±1: no -0.0."""
+    c, rows, shifts = scale * (1.0 / np.sqrt(2.0**q)), np.arange(2**q), np.arange(q - 1, -1, -1)
+    for start in range(0, len(strings), 64):  # small blocks: no m x n temporaries while the stack fills
+        digits = np.array([[int(d) for d in s] for s in strings[start : start + 64]])
+        x, z = _XZ[:, digits]  # each (block, q), one 0/1 entry per qubit
+        signs = 1 - 2 * (z @ ((rows >> shifts[:, None]) & 1) & 1)  # (-1)^{|j & z|}
+        phases = signs[..., None] * _PHASES[(digits == 2).sum(axis=1) % 4, None]
+        yield rows ^ (x @ (1 << shifts))[:, None], (c * phases).view(complex)[..., 0]
+
+
 def _sample_distinct_paulis(q, m, rng):
     total = 4**q
     if m > total:
@@ -205,13 +221,9 @@ def _sample_distinct_paulis(q, m, rng):
     if m > total // 2:
         picks = rng.permutation(total)[:m]
     else:
-        seen = set()
-        picks = []
+        picks = {}  # the distinct draws, in the order first drawn
         while len(picks) < m:
-            candidate = int(rng.integers(0, total))
-            if candidate not in seen:
-                seen.add(candidate)
-                picks.append(candidate)
+            picks[int(rng.integers(0, total))] = None
     return [np.base_repr(int(v), 4).zfill(q) for v in picks]
 
 
@@ -280,8 +292,7 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     _require_fits(DenseStack.footprint(m, n, True), f"{m} packed {n} x {n} operators")
     rng = np.random.default_rng(seed)
     strings = _sample_distinct_paulis(q, m, rng)
-    scale = n**1.5 / np.sqrt(m)
-    ops = DenseStack((scale * pauli_operator(q, s) for s in strings), m, n, True)  # no (m, n, n) stack
+    ops = DenseStack.from_monomials(_pauli_monomials(q, strings, n**1.5 / np.sqrt(m)), m, n, True)
 
     basis, _ = np.linalg.qr(gaussian(rng, (n, r), True))
     spectrum = rng.dirichlet(np.ones(r))

@@ -510,6 +510,15 @@ def test_phase_retrieval_sweep(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["48", "48", "96", "96"]
 
 
+def test_sweep_writes_a_null_axis_value_as_an_empty_field(tmp_path):
+    # lam null is the generator's default radius; trace.csv leaves a missing dist empty the same way.
+    code, lines = run_sweep(tmp_path, {"kind": "phase_retrieval", "n": 16, "sparsity": 2, "m": 48},
+                            {"lam": [None, 1.0]})
+    assert code == EXIT_OK
+    assert lines[0] == "lam,seed,iters,rel_error,elapsed_ms"
+    assert [line.split(",")[0] for line in lines[1:]] == ["", "1.0"]
+
+
 def test_synthetic_sweep_over_n(tmp_path):
     code, lines = run_sweep(tmp_path, {"kind": "synthetic", "r": 1, "m": 48}, {"n": [4, 6], "noise": 1e-3})
     assert code == EXIT_OK
@@ -565,6 +574,26 @@ def test_verify_tu_suite(tmp_path, capsys):
     assert report["violations"] == 0
     out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert out["violations"] == 0
+
+
+def test_verify_makes_its_output_directory(tmp_path):
+    out = tmp_path / "deep" / "reports"
+    assert main(["verify", "tu", "--out", str(out)]) == EXIT_OK
+    assert (out / "report_tu.json").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("sweep", dict(sweep_config([3], [2.0], 1), sweep={"q": "34", "r": [1], "c_sam": [2.0]})),
+    ("solve", dict(QST_SOLVE_CONFIG, solver={"step_mode": "bogus"})),
+    ("generate", dict(QST_SOLVE_CONFIG, problem={"kind": "warp"})),
+], ids=["sweep_axis_string", "solve_solver_block", "generate_kind_unknown"])
+def test_refused_config_leaves_no_output_directory(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, doc)
+    out = tmp_path / "refused" / "deep"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
 
 
 def test_verify_unknown_suite(capsys):

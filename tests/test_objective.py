@@ -7,7 +7,7 @@ import pytest
 from oracles import dense_stack
 
 from fpgd.diagnostics import fd_factored_gradient, fd_gradient
-from fpgd.linalg import trace_inner
+from fpgd.linalg import gaussian, trace_inner
 from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne, empirical_rip
 from fpgd.problems import gen_phase_retrieval, gen_qst, gen_synthetic, pauli_operator
 
@@ -243,6 +243,45 @@ def test_dense_json_roundtrip_reproduces_packed_rows_bit_for_bit(complex_field, 
     back = MeasurementEnsemble.from_json_dict(json.loads(json.dumps(ens.to_json_dict())))
     assert isinstance(back.operator, DenseStack) and back.field == ens.field
     assert back.operator.array.tobytes() == rows.tobytes()
+
+
+def random_monomials(rng, n, m, complex_field):
+    # m Hermitian monomial matrices, as (cols, values) and as the (m, n, n) stack: each pairs a random
+    # set of rows j <-> k (a value and its conjugate) and leaves the other rows on a real diagonal.
+    cols, values = np.empty((m, n), dtype=int), np.zeros((m, n), dtype=complex if complex_field else float)
+    for i in range(m):
+        perm, pairs = rng.permutation(n), rng.integers(0, n // 2 + 1)
+        a, b = perm[: 2 * pairs : 2], perm[1 : 2 * pairs : 2]
+        cols[i] = np.arange(n)
+        cols[i, a], cols[i, b] = b, a
+        for j in range(n):
+            k = cols[i, j]
+            if j == k:
+                values[i, j] = rng.standard_normal()
+            elif j < k:
+                values[i, j] = gaussian(rng, (), complex_field)
+                values[i, k] = np.conj(values[i, j])
+    values.real[::2] = 0.0  # even matrices purely imaginary (zero for a real field),
+    values[1::3] *= -1.0  # so matrix 4 holds -0.0 parts
+    stack = np.zeros((m, n, n), dtype=values.dtype)
+    stack[np.arange(m)[:, None], np.arange(n), cols] = values
+    return cols, values, stack
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_monomial_rows_match_the_checked_array_path_bit_for_bit(complex_field, n):
+    # from_monomials writes only the diagonal and the upper triangle; the (m, n, n) array path
+    # checks each matrix Hermitian and packs it.  Same bytes, signed zeros included, over uneven blocks.
+    rng = np.random.default_rng(n)
+    m = 7
+    cols, values, stack = random_monomials(rng, n, m, complex_field)
+    blocks = [(cols[:3], values[:3]), (cols[3:4], values[3:4]), (cols[4:], values[4:])]
+    rows = DenseStack.from_monomials(blocks, m, n, complex_field)
+    checked = MeasurementEnsemble(stack, np.zeros(m)).operator
+    assert np.signbit(checked.array[checked.array == 0]).any() and (n == 1 or (cols != np.arange(n)).any())
+    assert rows.dtype == checked.dtype and rows.nbytes == checked.nbytes
+    assert rows.array.tobytes() == checked.array.tobytes()
 
 
 @pytest.mark.parametrize("complex_field", [False, True])

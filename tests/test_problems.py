@@ -9,7 +9,7 @@ from oracles import dense_stack
 
 from fpgd import linalg, problems
 from fpgd.linalg import factor_from_psd, project_frobenius_ball, project_l1_ball
-from fpgd.objective import MeasurementEnsemble, Objective, RankOne, _decode_array, _encode_array
+from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne, _decode_array, _encode_array
 from fpgd.problems import (
     ConstraintSet,
     ProblemInstance,
@@ -163,6 +163,37 @@ def test_qst_operators_are_scaled_paulis_bit_for_bit(q):
     scale = (2**q) ** 1.5 / np.sqrt(ens.m)
     expected = np.stack([scale * pauli_operator(q, s) for s in strings])
     assert dense_stack(ens).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_rows_from_bit_masks_are_scaled_paulis_bit_for_bit(q):
+    # Every Pauli string: the unpacked stack equals scale * pauli_operator byte for byte, and so do
+    # the packed rows the kron chains give.
+    n, m, strings = 2**q, 4**q, [np.base_repr(v, 4).zfill(q) for v in range(4**q)]
+    scale = n**1.5 / np.sqrt(3.0 * m)
+    expected = [scale * pauli_operator(q, s) for s in strings]
+    rows = DenseStack.from_monomials(problems._pauli_monomials(q, strings, scale), m, n, True)
+    assert dense_stack(MeasurementEnsemble(rows, np.zeros(m))).tobytes() == np.stack(expected).tobytes()
+    assert rows.array.tobytes() == DenseStack(expected, m, n, True).array.tobytes()
+
+
+def test_qst_rows_by_rejection_sampling_are_scaled_paulis_bit_for_bit():
+    # m = 799 of 4096 strings at q = 6 are drawn by rejection, and fill 12 blocks of 64 and one of 31.
+    q, n = 6, 64
+    inst = gen_qst(q=q, r=1, c_sam=3.0, noise_norm=0.0, seed=5)
+    ens, strings = inst.objective.ensemble, inst.meta["pauli_strings"]
+    scale = n**1.5 / np.sqrt(ens.m)
+    expected = DenseStack((scale * pauli_operator(q, s) for s in strings), ens.m, n, True)
+    assert ens.m == 799 and ens.operator.array.tobytes() == expected.array.tobytes()
+
+
+def test_qst_builds_no_pauli_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_qst called pauli_operator")
+
+    monkeypatch.setattr(problems, "pauli_operator", refuse)
+    inst = gen_qst(q=4, r=1, c_sam=3.0, noise_norm=1e-3, seed=0)
+    assert inst.objective.ensemble.m == 133
 
 
 def test_qst_rejects_oversampling():
