@@ -114,6 +114,9 @@ def _seed_and_out(args, doc):
     if seed < 0:  # else numpy's seeding refuses it later, as a generator error
         raise ConfigError(f"seed must be non-negative, got {seed}")
     out = Path(args.out) if args.out else _require(doc, "out", "config", Path, ".")
+    nearest = next(path for path in (out, *out.parents) if path.exists())  # "." or "/" at the latest
+    if not nearest.is_dir():  # refused now, not after the work that the first write follows
+        raise ConfigError(f"output directory {out}: {nearest} exists and is not a directory")
     return seed, out
 
 

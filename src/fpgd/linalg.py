@@ -79,13 +79,17 @@ def gram_rel_change(u1, u0):
     so ||U1 U1^H||_2 = lambda_max(R_1 R_1^H).  One batched eigvalsh of the
     two cores, each at most 2r x 2r, gives both norms.
     """
-    d = u1 - u0
-    s = u1 + u0
-    rd, rs = np.hsplit(np.linalg.qr(np.hstack([d, s]), mode="r"), 2)
-    core = rd @ rs.conj().T
-    r1 = 0.5 * (rd + rs)
-    cores = np.stack([0.5 * (core + core.conj().T), r1 @ r1.conj().T])
-    diff, top = np.max(np.abs(np.linalg.eigvalsh(cores)), axis=1)
+    k = u1.shape[1]
+    r = np.linalg.qr(np.concatenate((u1 - u0, u1 + u0), axis=1), mode="r")
+    rd, rs = r[:, :k], r[:, k:]
+    core, r1 = rd @ rs.conj().T, rd + rs
+    cores = np.empty((2, len(r), len(r)), dtype=r.dtype)  # both cores written in place
+    np.add(core, core.conj().T, out=cores[0])
+    cores[0] *= 0.5
+    r1 *= 0.5
+    np.matmul(r1, r1.conj().T, out=cores[1])
+    w = np.linalg.eigvalsh(cores)
+    diff, top = np.max(np.abs(w, out=w), axis=1)
     if top and u1.any():  # for U1 = 0, R_D + R_S holds only rounding
         return float(diff / top)
     return 0.0 if diff == 0.0 else float("inf")

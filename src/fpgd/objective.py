@@ -79,8 +79,9 @@ class DenseStack:
     field, n^2 reals) or ``diag(E)``, ``E[iu]`` (real field, n(n+1)/2
     reals), with ``iu`` the strict upper triangle in row-major order.
 
-    ``operators`` is any iterable of the m n x n matrices, packed one at a time (no (m, n, n) stack), or None
-    for zero rows.  Each must be Hermitian: a generator's are by construction, ``_checked`` refuses others.
+    ``operators`` is any iterable of the m n x n matrices or of (b, n, n) blocks of them, packed a block at a
+    time (no (m, n, n) stack), or None for zero rows.  Each must be Hermitian: a generator's are by
+    construction, ``_checked`` refuses others.
     """
 
     json_key = "operators"
@@ -94,8 +95,13 @@ class DenseStack:
         j, k = np.triu_indices(n, 1)
         self._diag, self._upper, self._lower = np.arange(n) * (n + 1), j * n + k, k * n + j
         if operators is not None:
-            for row, op in zip(self.array, operators, strict=True):
-                self._packed(op, out=row)
+            start = 0
+            for block in operators:  # an n x n matrix or a (b, n, n) block; a surplus fails at out=
+                block = np.reshape(block, (-1, n, n))
+                self._packed(block, out=self.array[start : start + len(block)])
+                start += len(block)
+            if start != m:
+                raise ValueError(f"{start} operators for {m} packed rows")
 
     @classmethod
     def from_monomials(cls, blocks, m, n, complex_field):
@@ -126,10 +132,10 @@ class DenseStack:
         return 8 * m * _packed_width(n, complex_field)
 
     def _packed(self, x, out=None):
-        # diag(x).real, Re x[iu] and, for a complex field, Im x[iu].
-        flat = np.ravel(x)
-        imag = (flat.imag[self._upper],) if self.dtype.kind == "c" else ()
-        return np.concatenate((flat.real[self._diag], flat.real[self._upper], *imag), out=out)
+        # diag(x).real, Re x[iu] and, for a complex field, Im x[iu], of x or of each matrix of an x of them.
+        flat = np.reshape(x, (*np.shape(x)[:-2], -1))
+        imag = (flat.imag[..., self._upper],) if self.dtype.kind == "c" else ()
+        return np.concatenate((flat.real[..., self._diag], flat.real[..., self._upper], *imag), axis=-1, out=out)
 
     def _unpacked(self, w):
         # The n x n matrix of the packed entries w: exactly Hermitian, real diagonal.

@@ -37,6 +37,9 @@ _PAULI = {
 # the most significant bit as in np.kron; and (-i)^k for k = #Y mod 4, as (real, imaginary) pairs.
 _XZ, _PHASES = np.array([[0, 1, 1, 0], [0, 0, 1, 1]]), np.array([[1, 0], [0, -1], [-1, 0], [0, 1]])
 
+# gen_synthetic draws, symmetrizes and packs its operators in blocks of about this many entries.
+_SYNTHETIC_BLOCK = 4096
+
 # Qubit counts past this would need >= 4^13 * 16 bytes per operator batch.
 _MAX_QUBITS = 12
 
@@ -72,10 +75,9 @@ class ConstraintSet:
             return project_frobenius_ball(v, self.lam)
         if self.kind == "l1_ball":
             out = project_l1_ball(v, self.lam)
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0 or out is v:
-                return out, 1.0
-            return out, float(np.linalg.norm(out)) / nv
+            if out is v:  # feasible, so no norm is taken; an infeasible v is nonzero
+                return v, 1.0
+            return out, float(np.linalg.norm(out)) / float(np.linalg.norm(v))
         raise ValueError(f"unknown constraint kind {self.kind!r}")
 
     def contains(self, v, tol=1e-10):
@@ -349,13 +351,13 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
         raise ValueError("need at least one measurement")
     _require_fits(DenseStack.footprint(m, n, False), f"{m} packed {n} x {n} operators")
     rng = np.random.default_rng(seed)
-    denom = 2.0 * np.sqrt(m)
+    denom, block = 2.0 * np.sqrt(m), max(1, _SYNTHETIC_BLOCK // (n * n))
 
     def symmetrized_gaussians():
-        # One (n, n) draw per operator takes the normals of one (m, n, n) draw, in order.
-        for _ in range(m):
-            g = rng.standard_normal((n, n))
-            yield (g + g.T) / denom
+        # A (b, n, n) draw per block takes the normals of one (m, n, n) draw, in order.
+        for start in range(0, m, block):
+            g = rng.standard_normal((min(block, m - start), n, n))
+            yield (g + g.transpose(0, 2, 1)) / denom
 
     ops = DenseStack(symmetrized_gaussians(), m, n, False)
 

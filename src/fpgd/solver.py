@@ -151,15 +151,17 @@ def _adaptive_step(ens, l_hat, u, z, constant):
 
     Returns (step, A*(z) U) from one ``adjoint_times`` call; the step is
     None when both terms vanish.  ||A*(z) Q_U||_2 = ||Q_U Q_U^H grad f||_2
-    for the Hermitian gradient; the SVD-based basis handles rank-deficient
-    (or zero) factors.
+    for the Hermitian gradient, taken as sqrt(lambda_max(G^H G)) of the
+    n x k block G = A*(z) Q_U (k <= r), one small eigvalsh and no SVD; the
+    SVD-based basis handles rank-deficient (or zero) factors.
     """
     r = u.shape[1]
     w, s, _ = np.linalg.svd(u, full_matrices=False)
     s_max = s.max(initial=0.0)
     q = w[:, s > s_max * np.finfo(s.dtype).eps * max(u.shape)]
     g = ens.adjoint_times(z, np.hstack([u, q]))
-    column_norm = float(np.linalg.norm(g[:, r:], 2)) if q.size else 0.0
+    gq = g[:, r:]
+    column_norm = float(np.sqrt(max(np.linalg.eigvalsh(gq.conj().T @ gq)[-1], 0.0))) if q.size else 0.0
     denom = l_hat * float(s_max) ** 2 + column_norm  # ||U U^H||_2 = sigma_max(U)^2
     return (constant / denom if denom != 0.0 else None), g[:, :r]
 

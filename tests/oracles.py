@@ -111,6 +111,36 @@ def grid_l1_project(v, lam, rounds=6):
 
 
 
+def gram_rel_change_reference(u1, u0):
+    """The stopping ratio as ``linalg.gram_rel_change`` computed it before its
+    in-place kernel: ``hsplit`` of R, ``np.stack`` of the two cores.  The
+    kernel must give the same float, bit for bit."""
+    d = u1 - u0
+    s = u1 + u0
+    rd, rs = np.hsplit(np.linalg.qr(np.hstack([d, s]), mode="r"), 2)
+    core = rd @ rs.conj().T
+    r1 = 0.5 * (rd + rs)
+    cores = np.stack([0.5 * (core + core.conj().T), r1 @ r1.conj().T])
+    diff, top = np.max(np.abs(np.linalg.eigvalsh(cores)), axis=1)
+    if top and u1.any():
+        return float(diff / top)
+    return 0.0 if diff == 0.0 else float("inf")
+
+
+def synthetic_rows_per_operator(n, m, seed):
+    """The packed rows ``gen_synthetic(n, ., m, seed=seed)`` must hold, built one
+    operator at a time: an (n, n) draw, (G + G^T) / (2 sqrt(m)), then its
+    diagonal and strict upper triangle in row-major order."""
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(n, 1)
+    rows = []
+    for _ in range(m):
+        g = rng.standard_normal((n, n))
+        e = (g + g.T) / (2.0 * np.sqrt(m))
+        rows.append(np.concatenate([np.diag(e), e[iu]]))
+    return np.array(rows).reshape(m, n * (n + 1) // 2)
+
+
 def dense_stack(ens):
     """The (m, n, n) operator stack of ``ens``: E_k = A*(e_k) for a dense
     ensemble, or the rank-one E_i = a_i a_i^H built from the sensing vectors a_i."""

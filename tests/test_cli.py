@@ -596,6 +596,28 @@ def test_refused_config_leaves_no_output_directory(tmp_path, capsys, command, do
     assert not (tmp_path / "refused").exists()
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["a_file", "under_a_file"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "generate", "verify"])
+def test_out_taken_by_a_file_exits_64_before_any_work(tmp_path, monkeypatch, capsys, command, nested):
+    # Refused with the config checks: no instance generated, no solve, no sweep cell, no suite run.
+    calls = []
+
+    def no_work(*args, **kwargs):
+        calls.append(args or kwargs)
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("gen_qst", "projfgd_solve", "run_suite"):
+        monkeypatch.setattr(f"fpgd.cli.{name}", no_work)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, sweep_config([1, 2], [2.0], 1) if command == "sweep" else QST_SOLVE_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["verify", "tu"] if command == "verify" else [command, "--config", str(cfg)]
+    assert main(argv + ["--out", str(taken / "sub" if nested else taken)]) == EXIT_USAGE
+    assert f"{taken} exists and is not a directory" in capsys.readouterr().err
+    assert calls == [] and taken.read_text() == ""
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope"]) == EXIT_USAGE
     assert "unknown suite" in capsys.readouterr().err

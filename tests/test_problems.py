@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import dense_stack
+from oracles import dense_stack, synthetic_rows_per_operator
 
 from fpgd import linalg, problems
 from fpgd.linalg import factor_from_psd, project_frobenius_ball, project_l1_ball
@@ -312,6 +312,25 @@ def test_synthetic_determinism():
     assert np.array_equal(a.objective.ensemble.y, b.objective.ensemble.y)
 
 
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_synthetic_blocks_match_per_operator_draws_bit_for_bit(n):
+    # Blocks of b operators take the normals of b single draws, in order; m leaves a short last block.
+    block = max(1, problems._SYNTHETIC_BLOCK // (n * n))
+    m = 3 * block + 2
+    inst = gen_synthetic(n=n, r=1, m=m, noise_norm=1e-3, seed=4)
+    assert inst.objective.ensemble.operator.array.tobytes() == synthetic_rows_per_operator(n, m, 4).tobytes()
+
+
+def test_dense_stack_refuses_a_wrong_operator_count():
+    ops = np.zeros((3, 2, 2))
+    for m in (2, 4):
+        with pytest.raises(ValueError):
+            DenseStack(ops, m, 2, False)
+        with pytest.raises(ValueError):
+            DenseStack([ops[:2], ops[2]], m, 2, False)  # a block, then a single matrix
+    assert DenseStack([ops[:2], ops[2]], 3, 2, False).array.shape == (3, 3)
+
+
 def test_generators_make_no_hermitian_check(monkeypatch):
     # Generated operators are Hermitian by construction (scale * pauli_operator, (g + g^T) / denom);
     # only operators from outside the program, from a file or an (m, n, n) array, are checked.
@@ -349,6 +368,14 @@ def test_constraint_xi_semantics():
     free = unconstrained()
     out, xi = free.project(outside)
     assert out is outside and xi == 1.0
+
+
+def test_feasible_l1_projection_takes_no_norm(monkeypatch):
+    # A point inside the l1 ball is returned as it is with xi = 1, before any Frobenius norm is taken.
+    inside = np.full((4, 1), 0.1)
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: pytest.fail("norm taken"))
+    out, xi = l1_ball(1.0).project(inside)
+    assert out is inside and xi == 1.0
 
 
 @pytest.mark.parametrize("constraint", [unconstrained(), frobenius_ball(0.5), l1_ball(2.0)])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_stack
+from oracles import dense_stack, gram_rel_change_reference
 
 from fpgd.linalg import (
     gram_rel_change,
@@ -243,6 +243,27 @@ def test_factor_space_norms_match_dense(spec):
     # Both norms within REL * max(||X1||_2, ||X0||_2) bound the ratio's error by this.
     scale = max(top, spectral_norm(x0))
     assert abs(ratio - dense) <= REL * (scale / top) * (1.0 + dense)
+
+
+@PROPERTY_SETTINGS
+@given(factor_pairs)
+def test_gram_rel_change_equals_its_reference_bit_for_bit(spec):
+    # The in-place kernel does the reference's floating-point operations, so the
+    # ratio is the same float: real and complex, r = 1..3, the edge cases too.
+    kind, complex_field, n, r, seed = spec
+    rng = np.random.default_rng(seed)
+    u0 = _draw(rng, (n, r), complex_field)
+    u1 = _draw(rng, (n, r), complex_field)
+    if kind == "near":
+        u1 = u0 + 1e-6 * u1
+    elif kind == "rank_deficient":
+        u0[:, -1] = 0.0
+        u1[:, 0] = 0.5 * u1[:, -1]
+    elif kind in ("zero_old", "zero_both"):
+        u0[:] = 0.0
+    if kind in ("zero_new", "zero_both"):
+        u1[:] = 0.0
+    assert gram_rel_change(u1, u0) == gram_rel_change_reference(u1, u0)
 
 
 projection_cases = st.tuples(

@@ -121,6 +121,24 @@ def test_fixed_step_solve_takes_no_two_norm(monkeypatch):
     assert orders.count(2) == 0
 
 
+def test_adaptive_step_solve_takes_no_two_norm(monkeypatch):
+    # The adaptive step's ||A*(z) Q_U||_2 comes from the eigenvalues of a k x k
+    # Gram, so no iteration calls np.linalg.norm(., 2), an SVD, either.
+    inst = gen_qst(q=5, r=2, c_sam=2.0, noise_norm=1e-3, seed=0)
+    orders = []
+    original = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    _, trace = projfgd_solve(inst, SolverConfig(rank=2, max_iters=5, step_mode="adaptive_per_iter"))
+    assert trace.n_iters == 5
+    assert orders.count(None) >= 5  # the factored gradient norm, once per iteration
+    assert orders.count(2) == 0
+
+
 # ---------------------------------------------------------------------------
 # step_size
 # ---------------------------------------------------------------------------
@@ -389,11 +407,11 @@ def _basis_factor(name):
     }[name]
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["real", "complex", "zero_column", "repeated_column", "zero_factor",
-     "two_r_exceeds_n", "r_exceeds_n", "r_one"],
-)
+BASIS_CASES = ["real", "complex", "zero_column", "repeated_column", "zero_factor",
+               "two_r_exceeds_n", "r_exceeds_n", "r_one"]
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
 def test_adaptive_step_basis_matches_scipy_orth(name):
     # The step's Q_U against scipy.linalg.orth, the reference it replaced:
     # same rank cut (column count) and the same projector Q Q^H to 1e-12.
@@ -409,6 +427,32 @@ def test_adaptive_step_basis_matches_scipy_orth(name):
     ref = scipy.linalg.orth(u)
     assert q.shape == ref.shape
     assert np.allclose(q @ q.conj().T, ref @ ref.conj().T, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
+def test_adaptive_step_column_norm_matches_the_two_norm(name):
+    # With L_hat = 0 the step is C / ||A*(z) Q_U||_2, whose norm comes from a
+    # k x k Gram's eigenvalues; np.linalg.norm(., 2), an SVD, is the reference.
+    u = _basis_factor(name)
+    n, m = u.shape[0], 12
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((m, n, n)) + (1j * rng.standard_normal((m, n, n)) if np.iscomplexobj(u) else 0)
+    ens = MeasurementEnsemble(0.5 * (g + g.conj().transpose(0, 2, 1)), np.zeros(m))
+    z = rng.standard_normal(m)
+    seen = []
+
+    class Recorded:
+        def adjoint_times(self, z, v):
+            seen.append(v)
+            return ens.adjoint_times(z, v)
+
+    step, _ = _adaptive_step(Recorded(), 0.0, u, z, PROJFGD_STEP_CONSTANT)
+    q = seen[0][:, u.shape[1]:]
+    expected = float(np.linalg.norm(ens.adjoint(z) @ q, 2)) if q.size else 0.0
+    if expected == 0.0:
+        assert name == "zero_factor" and step is None
+    else:
+        assert PROJFGD_STEP_CONSTANT / step == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_adaptive_step_rejects_a_nan_factor():
