@@ -132,7 +132,7 @@ class DenseStack:
         return 8 * m * _packed_width(n, complex_field)
 
     def _packed(self, x, out=None):
-        # diag(x).real, Re x[iu] and, for a complex field, Im x[iu], of x or of each matrix of an x of them.
+        # diag(x).real, Re x[iu] and, for a complex field, Im x[iu]; a (b, n, n) x gives b rows.
         flat = np.reshape(x, (*np.shape(x)[:-2], -1))
         imag = (flat.imag[..., self._upper],) if self.dtype.kind == "c" else ()
         return np.concatenate((flat.real[..., self._diag], flat.real[..., self._upper], *imag), axis=-1, out=out)
