@@ -6,7 +6,7 @@ library's default (``SolverConfig``'s fields, the ``gen_*`` signatures).  Exit
 codes: 0 converged / all checks passed, 2 iteration budget exhausted, 1 numeric
 failure, 64 malformed config (a solver block that SolverConfig rejects
 included), a missing or malformed instance file, an output directory that
-names a file, or unknown suite.  Logging level comes from FPGD_LOG (error | info | debug).
+names or lies under a file (refused before any work), or unknown suite.  Logging level comes from FPGD_LOG (error | info | debug).
 """
 
 import argparse
@@ -115,7 +115,7 @@ def _seed_and_out(args, doc):
         raise ConfigError(f"seed must be non-negative, got {seed}")
     out = Path(args.out) if args.out else _require(doc, "out", "config", Path, ".")
     nearest = next(path for path in (out, *out.parents) if path.exists())  # "." or "/" at the latest
-    if not nearest.is_dir():  # refused now, not after the work that the first write follows
+    if not nearest.is_dir():  # refused before any work, not at the first write after it
         raise ConfigError(f"output directory {out}: {nearest} exists and is not a directory")
     return seed, out
 

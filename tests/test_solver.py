@@ -103,9 +103,8 @@ def test_fixed_step_solve_takes_one_eigendecomposition(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
-def test_fixed_step_solve_takes_no_two_norm(monkeypatch):
-    # Both stopping norms come from the eigenvalues of gram_rel_change's two
-    # small cores, so no iteration calls np.linalg.norm(., 2), an SVD.
+def _norm_orders_of_a_solve(monkeypatch, step_mode):
+    # The ord of every np.linalg.norm call in a 5-iteration q=5, r=2 solve.
     inst = gen_qst(q=5, r=2, c_sam=2.0, noise_norm=1e-3, seed=0)
     orders = []
     original = np.linalg.norm
@@ -115,27 +114,24 @@ def test_fixed_step_solve_takes_no_two_norm(monkeypatch):
         return original(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted)
-    _, trace = projfgd_solve(inst, SolverConfig(rank=2, max_iters=5))
+    _, trace = projfgd_solve(inst, SolverConfig(rank=2, max_iters=5, step_mode=step_mode))
     assert trace.n_iters == 5
+    return orders
+
+
+def test_fixed_step_solve_takes_no_two_norm(monkeypatch):
+    # Both stopping norms come from the eigenvalues of gram_rel_change's two
+    # small cores, so no iteration calls np.linalg.norm(., 2), an SVD.
+    orders = _norm_orders_of_a_solve(monkeypatch, "fixed_from_init")
     assert orders.count(None) >= 5  # the factored gradient norm, once per iteration
     assert orders.count(2) == 0
 
 
 def test_adaptive_step_solve_takes_no_two_norm(monkeypatch):
     # The adaptive step's ||A*(z) Q_U||_2 comes from the eigenvalues of a k x k
-    # Gram, so no iteration calls np.linalg.norm(., 2), an SVD, either.
-    inst = gen_qst(q=5, r=2, c_sam=2.0, noise_norm=1e-3, seed=0)
-    orders = []
-    original = np.linalg.norm
-
-    def counted(x, ord=None, *args, **kwargs):
-        orders.append(ord)
-        return original(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted)
-    _, trace = projfgd_solve(inst, SolverConfig(rank=2, max_iters=5, step_mode="adaptive_per_iter"))
-    assert trace.n_iters == 5
-    assert orders.count(None) >= 5  # the factored gradient norm, once per iteration
+    # Gram, so no iteration calls np.linalg.norm(., 2) either.
+    orders = _norm_orders_of_a_solve(monkeypatch, "adaptive_per_iter")
+    assert orders.count(None) >= 5
     assert orders.count(2) == 0
 
 
