@@ -259,8 +259,9 @@ def cmd_sweep(args):
     if not cells:  # an empty list or seeds < 1; else sweep.csv holds only its header
         raise ConfigError(f"sweep grid has no cells: {axes}, seeds {n_seeds}")
 
-    if args.jobs and args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(cells))) as pool:
+    if args.jobs and args.jobs > 1:  # a pool starts all of its workers at once: no more than cells or CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(cells), cpus)) as pool:
             rows = list(pool.map(_run_sweep_cell, cells))
     else:
         rows = [_run_sweep_cell(c) for c in cells]

@@ -58,6 +58,8 @@ THEOREM_RADIUS_C = 1.0 / 200.0
 PROJFGD_ALPHA_CONSTANT = 550.0
 FGD_ALPHA_CONSTANT = 64.0
 XI_LOWER_BOUND = 1.0 / (1.0 + PROJFGD_STEP_CONSTANT)  # 128/129
+_FD_STEP = 1e-5  # the central-difference step of fd_gradient and fd_factored_gradient
+_PERTURB_FRACTION = 0.9  # perturb_within_radius: the share of the radius a start lies at
 
 
 @dataclass
@@ -149,8 +151,8 @@ def contraction_radius(instance):
     return float(rho * s[instance.rank - 1])
 
 
-def perturb_within_radius(instance, radius, rng, fraction=0.9):
-    """Feasible factor at distance <= fraction * radius from the truth.
+def perturb_within_radius(instance, radius, rng):
+    """Feasible factor at distance <= _PERTURB_FRACTION * radius from the truth.
 
     Projection onto the constraint set never increases the Procrustes
     distance to the (feasible) truth, so the returned point stays inside
@@ -158,7 +160,7 @@ def perturb_within_radius(instance, radius, rng, fraction=0.9):
     """
     u_star = instance.truth_factor
     delta = gaussian(rng, u_star.shape, np.iscomplexobj(u_star))
-    delta *= fraction * radius / np.linalg.norm(delta)
+    delta *= _PERTURB_FRACTION * radius / np.linalg.norm(delta)
     u0, _ = instance.constraint.project(u_star + delta)
     return u0
 
@@ -212,11 +214,11 @@ def check_tu_inequality(trials=1000, n=10, r=3, seed=0, complex_field=False):
     return report
 
 
-def fit_contraction(trace, radius=None, abs_tol=MARGIN_ABS_TOL):
+def fit_contraction(trace, radius=None):
     """Largest per-step ratio Dist_{t+1}^2 / Dist_t^2 over steps starting
     inside ``radius`` (all steps when None).
 
-    Ratios are taken net of an absolute floor ``abs_tol`` on the squared
+    Ratios are taken net of an absolute floor ``MARGIN_ABS_TOL`` on the squared
     distances, so a converged (machine-noise) tail fits as 0 rather than
     as ratio-one stagnation; an exactly-zero tail returns 0 by convention.
     """
@@ -227,7 +229,7 @@ def fit_contraction(trace, radius=None, abs_tol=MARGIN_ABS_TOL):
     for d0, d1 in zip(dists[:-1], dists[1:]):
         if radius is not None and d0 > radius:
             continue
-        excess = max(d1**2 - abs_tol, 0.0)
+        excess = max(d1**2 - MARGIN_ABS_TOL, 0.0)
         if d0 == 0.0:
             ratio = 0.0 if excess == 0.0 else float("inf")
         else:
@@ -408,7 +410,7 @@ def _hermitian_basis(n, complex_field):
     return basis
 
 
-def fd_gradient(obj, x, step=1e-5):
+def fd_gradient(obj, x):
     """Central-difference gradient of f on the Hermitian manifold,
     assembled from an orthonormal Hermitian direction basis.  Uses only
     objective values, so it is an independent oracle for ``grad``."""
@@ -416,12 +418,12 @@ def fd_gradient(obj, x, step=1e-5):
     complex_field = obj.ensemble.field == "complex"
     fd = np.zeros_like(x, dtype=complex if complex_field else float)
     for b in _hermitian_basis(obj.dim, complex_field):
-        d = (obj.value(x + step * b) - obj.value(x - step * b)) / (2.0 * step)
+        d = (obj.value(x + _FD_STEP * b) - obj.value(x - _FD_STEP * b)) / (2.0 * _FD_STEP)
         fd = fd + d * b
     return fd
 
 
-def fd_factored_gradient(obj, u, step=1e-5):
+def fd_factored_gradient(obj, u):
     """Central-difference Euclidean gradient of g(U) = f(U U^H) over the
     real coordinates of U.  Equals twice the factored gradient the solver
     applies (the lifted-objective chain rule carries a factor 2)."""
@@ -439,7 +441,7 @@ def fd_factored_gradient(obj, u, step=1e-5):
             for unit in units:
                 e = np.zeros_like(fd)
                 e[i, j] = unit
-                d = (g(u + step * e) - g(u - step * e)) / (2.0 * step)
+                d = (g(u + _FD_STEP * e) - g(u - _FD_STEP * e)) / (2.0 * _FD_STEP)
                 fd = fd + d * e
     return fd
 

@@ -27,6 +27,7 @@ __all__ = [
 # Eigenvalues below this (relative to the top one) count as numerically zero
 # when extracting factors of degenerate-rank matrices.
 _RANK_EPS = 1e-12
+_HERMITIAN_TOL = 1e-12  # is_hermitian's default bound on |M - M^H|, relative to max|M|
 
 
 def gaussian(rng, shape, complex_field):
@@ -40,7 +41,7 @@ def trace_inner(a, b):
     return float(np.real(np.vdot(a, b)))
 
 
-def is_hermitian(m, tol=1e-12):
+def is_hermitian(m, tol=_HERMITIAN_TOL):
     """Check entrywise conjugate symmetry up to tol * max|entry|."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -49,12 +50,12 @@ def is_hermitian(m, tol=1e-12):
     return bool(np.max(np.abs(m - m.conj().T)) <= tol * max(scale, 1e-300))
 
 
-def require_hermitian(m, tol=1e-12, what="matrix"):
+def require_hermitian(m, what="matrix"):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    if not is_hermitian(m, tol=tol):
-        raise ValueError(f"{what} is not Hermitian within tolerance {tol:g}")
+    if not is_hermitian(m):
+        raise ValueError(f"{what} is not Hermitian within tolerance {_HERMITIAN_TOL:g}")
     return m
 
 

@@ -107,11 +107,13 @@ class DenseStack:
     def from_monomials(cls, blocks, m, n, complex_field):
         """The m Hermitian matrices with one nonzero per row, E_i[j, cols[i, j]] = values[i, j], from
         (cols, values) blocks of rows: each entry on or above the diagonal is written into zeroed rows."""
-        stack, start, t = cls(None, m, n, complex_field), 0, n * (n - 1) // 2
+        stack, start = cls(None, m, n, complex_field), 0
+        t, column = len(stack._upper), np.zeros(n * n, dtype=np.intp)  # packed column of flat (j, k), j <= k
+        column[np.concatenate((stack._diag, stack._upper))] = np.arange(n + t)
         for cols, values in blocks:
             i, j = np.nonzero(cols >= np.arange(n))
-            k = cols[i, j]  # (j, k) is packed at j on the diagonal, else at n + its upper-triangle index
-            pos = np.where(k == j, j, n + j * n - j * (j + 1) // 2 + k - j - 1)
+            k = cols[i, j]
+            pos = column[j * n + k]
             stack.array[start + i, pos] = values.real[i, j]
             if complex_field:  # Im (j, k) of the upper triangle lies t places after its real part
                 stack.array[start + i[k > j], pos[k > j] + t] = values.imag[i, j][k > j]
@@ -324,6 +326,8 @@ class MeasurementEnsemble:
     def from_json_dict(cls, doc):
         """Inverse of ``to_json_dict``; the form named by its key decodes its rows."""
         n = _number(int)(doc["dim"])
+        if n < 1:  # sensing vectors reshaped to (m, -1) would take their own length
+            raise ValueError(f"dim={n} must be >= 1")
         field = doc["field"]
         if field not in ("real", "complex"):
             raise ValueError(f"unknown field {field!r}")

@@ -26,16 +26,11 @@ __all__ = [
     "gen_synthetic",
 ]
 
-_PAULI = {
-    "0": np.eye(2, dtype=complex),
-    "1": np.array([[0, 1], [1, 0]], dtype=complex),
-    "2": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "3": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Per digit I, X, Y, Z: its bit in the masks x (X and Y flip the qubit) and z (Y and Z sign it), qubit 0
 # the most significant bit as in np.kron; and (-i)^k for k = #Y mod 4, as (real, imaginary) pairs.
 _XZ, _PHASES = np.array([[0, 1, 1, 0], [0, 0, 1, 1]]), np.array([[1, 0], [0, -1], [-1, 0], [0, 1]])
+
+_CONTAINS_TOL = 1e-10  # the slack ConstraintSet.contains allows on the radius lam
 
 # gen_synthetic draws, symmetrizes and packs its operators in blocks of about this many entries.
 _SYNTHETIC_BLOCK = 4096
@@ -48,15 +43,23 @@ _MAX_QUBITS = 12
 class ConstraintSet:
     """Factored-space constraint with its Euclidean projection.
 
-    kind is one of "unconstrained", "frobenius_ball", "l1_ball".  The
-    Frobenius ball is faithful (one-to-one with the trace constraint on
-    X = U U^H); the l1 ball is not: feasible factors can map to
-    infeasible X, so factored-space convergence statements do not
-    transfer.
+    kind is one of "unconstrained", "frobenius_ball", "l1_ball"; a ball takes
+    a radius lam > 0; both are checked on construction.  The Frobenius
+    ball is faithful (one-to-one with the trace constraint on X = U U^H); the
+    l1 ball is not: feasible factors can map to infeasible X, so
+    factored-space convergence statements do not transfer.
     """
 
     kind: str
     lam: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("unconstrained", "frobenius_ball", "l1_ball"):
+            raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if self.kind != "unconstrained":
+            if self.lam is None or not self.lam > 0:  # NaN fails too
+                raise ValueError("lam must be positive")
+            object.__setattr__(self, "lam", float(self.lam))  # frozen, so set through object
 
     @property
     def faithful(self):
@@ -73,34 +76,26 @@ class ConstraintSet:
             return v, 1.0
         if self.kind == "frobenius_ball":
             return project_frobenius_ball(v, self.lam)
-        if self.kind == "l1_ball":
-            out = project_l1_ball(v, self.lam)
-            if out is v:  # feasible, so no norm is taken; an infeasible v is nonzero
-                return v, 1.0
-            return out, float(np.linalg.norm(out)) / float(np.linalg.norm(v))
-        raise ValueError(f"unknown constraint kind {self.kind!r}")
+        out = project_l1_ball(v, self.lam)
+        if out is v:  # feasible, so no norm is taken; an infeasible v is nonzero
+            return v, 1.0
+        return out, float(np.linalg.norm(out)) / float(np.linalg.norm(v))
 
-    def contains(self, v, tol=1e-10):
+    def contains(self, v):
         if self.kind == "unconstrained":
             return True
         if self.kind == "frobenius_ball":
-            return float(np.linalg.norm(v)) <= self.lam + tol
-        if self.kind == "l1_ball":
-            return float(np.abs(v).sum()) <= self.lam + tol
-        raise ValueError(f"unknown constraint kind {self.kind!r}")
+            return float(np.linalg.norm(v)) <= self.lam + _CONTAINS_TOL
+        return float(np.abs(v).sum()) <= self.lam + _CONTAINS_TOL
 
     def to_json_dict(self):
         return {"kind": self.kind, "lam": self.lam, "faithful": self.faithful}
 
     @staticmethod
     def from_json_dict(doc):
-        # Through the constructors, so lam is checked on load; a stored faithful is ignored.
+        # kind and lam are checked by the constructor; a stored faithful, and an unconstrained lam, are ignored.
         kind = doc["kind"]
-        if kind == "unconstrained":
-            return unconstrained()
-        if kind in ("frobenius_ball", "l1_ball"):
-            return (frobenius_ball if kind == "frobenius_ball" else l1_ball)(_number(float)(doc["lam"]))
-        raise ValueError(f"unknown constraint kind {kind!r}")
+        return ConstraintSet(kind, None if kind == "unconstrained" else _number(float)(doc["lam"]))
 
 
 def unconstrained():
@@ -108,15 +103,11 @@ def unconstrained():
 
 
 def frobenius_ball(lam):
-    if not lam > 0:  # NaN fails too
-        raise ValueError("lam must be positive")
-    return ConstraintSet("frobenius_ball", float(lam))
+    return ConstraintSet("frobenius_ball", lam)
 
 
 def l1_ball(lam):
-    if not lam > 0:  # NaN fails too
-        raise ValueError("lam must be positive")
-    return ConstraintSet("l1_ball", float(lam))
+    return ConstraintSet("l1_ball", lam)
 
 
 @dataclass
@@ -194,22 +185,21 @@ def pauli_operator(q, index, normalize=True):
         raise ValueError("q must be >= 1")
     if q > _MAX_QUBITS:
         raise ValueError(f"q={q} exceeds the memory budget (max {_MAX_QUBITS})")
-    if len(index) != q or any(d not in _PAULI for d in index):
+    if len(index) != q or any(d not in "0123" for d in index):
         raise ValueError(f"index must be a length-{q} string over digits 0-3")
-    op = _PAULI[index[0]].copy()  # a fresh array: the caller may scale it in place
-    for digit in index[1:]:
-        op = np.kron(op, _PAULI[digit])
-    if normalize:
-        op = op / np.sqrt(2.0**q)
+    c = 1.0 / np.sqrt(2.0**q) if normalize else 1.0
+    (cols,), (values,) = next(_pauli_monomials(q, np.array([int(index, 4)]), c))
+    op = np.zeros((2**q, 2**q), dtype=complex)
+    op[np.arange(2**q), cols] = values
     return op
 
 
-def _pauli_monomials(q, strings, scale):
-    """(cols, values) of ``scale * pauli_operator(q, s)``, 64 strings s at a time: row j of P_s holds
-    (-i)^{#Y} (-1)^{|j & z|} at column j ^ x.  Parts are c = scale / sqrt(2^q) times 0 or ±1: no -0.0."""
-    c, rows, shifts = scale * (1.0 / np.sqrt(2.0**q)), np.arange(2**q), np.arange(q - 1, -1, -1)
-    for start in range(0, len(strings), 64):  # small blocks: no m x n temporaries while the stack fills
-        digits = np.array([[int(d) for d in s] for s in strings[start : start + 64]])
+def _pauli_monomials(q, codes, c):
+    """(cols, values) of c times the Pauli strings of ``codes``, int(s, 4) of each string s, 64 at a time: row j
+    of P_s holds (-i)^{#Y} (-1)^{|j & z|} at column j ^ x.  Parts are c times 0 or ±1: no -0.0."""
+    rows, shifts = np.arange(2**q), np.arange(q - 1, -1, -1)
+    for start in range(0, len(codes), 64):  # small blocks: no m x n temporaries while the stack fills
+        digits = codes[start : start + 64, None] >> 2 * shifts & 3
         x, z = _XZ[:, digits]  # each (block, q), one 0/1 entry per qubit
         signs = 1 - 2 * (z @ ((rows >> shifts[:, None]) & 1) & 1)  # (-1)^{|j & z|}
         phases = signs[..., None] * _PHASES[(digits == 2).sum(axis=1) % 4, None]
@@ -221,12 +211,11 @@ def _sample_distinct_paulis(q, m, rng):
     if m > total:
         raise ValueError(f"cannot draw {m} distinct Pauli strings from 4^{q} = {total}")
     if m > total // 2:
-        picks = rng.permutation(total)[:m]
-    else:
-        picks = {}  # the distinct draws, in the order first drawn
-        while len(picks) < m:
-            picks[int(rng.integers(0, total))] = None
-    return [np.base_repr(int(v), 4).zfill(q) for v in picks]
+        return rng.permutation(total)[:m]
+    picks = {}  # the distinct draws, in the order first drawn
+    while len(picks) < m:
+        picks[int(rng.integers(0, total))] = None
+    return np.fromiter(picks, np.int64, m)
 
 
 def _mem_available_bytes():
@@ -293,8 +282,9 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     m = int(round(samples))
     _require_fits(DenseStack.footprint(m, n, True), f"{m} packed {n} x {n} operators")
     rng = np.random.default_rng(seed)
-    strings = _sample_distinct_paulis(q, m, rng)
-    ops = DenseStack.from_monomials(_pauli_monomials(q, strings, n**1.5 / np.sqrt(m)), m, n, True)
+    codes = _sample_distinct_paulis(q, m, rng)
+    c = n**1.5 / np.sqrt(m) * (1.0 / np.sqrt(2.0**q))  # the gain times the unit-Frobenius 1 / sqrt(n)
+    ops = DenseStack.from_monomials(_pauli_monomials(q, codes, c), m, n, True)
 
     basis, _ = np.linalg.qr(gaussian(rng, (n, r), True))
     spectrum = rng.dirichlet(np.ones(r))
@@ -302,7 +292,8 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     truth_factor = basis * np.sqrt(spectrum)
     return _observed_instance(
         ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed,
-        meta={"kind": "qst", "q": q, "c_sam": c_sam, "pauli_strings": strings},
+        meta={"kind": "qst", "q": q, "c_sam": c_sam,
+              "pauli_strings": [np.base_repr(v, 4).zfill(q) for v in codes]},
     )
 
 

@@ -4,8 +4,9 @@ These deliberately avoid the code paths of the package: the Jacobi
 eigensolver is hand-rolled (no LAPACK), the O(2) alignment search is a
 dense angle grid, the l1 projection is a coarse-to-fine grid search
 over the simplex face, the ProjFGD reference loop forms every
-n x n iterate X = U U^H, and ``dense_stack`` expands any storage form
-to the full (m, n, n) operator stack.
+n x n iterate X = U U^H, ``dense_stack`` expands any storage form
+to the full (m, n, n) operator stack, and ``kron_pauli`` builds a Pauli
+string's matrix by a chain of ``np.kron``.
 """
 
 import numpy as np
@@ -139,6 +140,26 @@ def synthetic_rows_per_operator(n, m, seed):
         e = (g + g.T) / (2.0 * np.sqrt(m))
         rows.append(np.concatenate([np.diag(e), e[iu]]))
     return np.array(rows).reshape(m, n * (n + 1) // 2)
+
+
+_PAULI = {
+    "0": np.eye(2, dtype=complex),
+    "1": np.array([[0, 1], [1, 0]], dtype=complex),
+    "2": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "3": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_pauli(index, normalize=True):
+    """The Pauli string ``index`` (digits 0-3 for I, sigma_x, sigma_y, sigma_z) as the kron
+    chain of its 2 x 2 factors, divided by sqrt(2^q) when ``normalize``.  The -1j of sigma_y
+    leaves some -0.0 parts that ``problems.pauli_operator`` does not have."""
+    op = _PAULI[index[0]].copy()  # a fresh array: the caller may scale it in place
+    for digit in index[1:]:
+        op = np.kron(op, _PAULI[digit])
+    if normalize:
+        op = op / np.sqrt(2.0 ** len(index))
+    return op
 
 
 def dense_stack(ens):

@@ -469,7 +469,8 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
 
 
 def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
-    # A pool launches all of its max_workers at once, so --jobs beyond the cell count would idle.
+    # A pool launches all of its max_workers at once, so --jobs beyond the cell count or the usable
+    # CPUs would idle or oversubscribe.  The pool is faked: no process starts.
     pools = []
 
     class SerialPool:
@@ -486,10 +487,18 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     cfg = tmp_path / "sweep.json"
     write_json(cfg, sweep_config([3], [2.0, 3.0], 1))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "8"]) == EXIT_OK
     assert pools == [2]
+    write_json(cfg, sweep_config([3], [2.0, 3.0], 2))  # 4 cells on 3 usable CPUs
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o4"), "--jobs", "1000"]) == EXIT_OK
+    assert pools == [2, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity call: the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o1"), "--jobs", "1000"]) == EXIT_OK
+    assert pools == [2, 3, 1]
 
 
 def run_sweep(tmp_path, problem, grid):
@@ -757,6 +766,14 @@ def _rank_one_vectors_with_nan(doc):
     return [[[1.0, 0.0], [0.0, 0.5]]] * (m - 1) + [[[float("nan"), 0.0], [0.0, 0.5]]]
 
 
+def _rank_one_vectors_under_dim(dim):
+    # The q=1 operators replaced by as many sensing vectors of length 2, under a "dim" of ``dim``.
+    def mutate(doc):
+        doc["vectors"] = [[[1.0, 0.0], [0.0, 0.5]]] * len(doc.pop("operators"))
+        return dim
+    return mutate
+
+
 def _rank_above_n_with_factor(doc):
     # rank 3 for n = 2, with a truth_factor of the 2 x 3 shape it names.
     doc["truth_factor"] = [[0.5, 0.0]] * 6
@@ -780,9 +797,11 @@ def _rank_above_n_with_factor(doc):
     ("instance.json", "seed", True),
     ("ensemble.json", "noise_norm", False),
     ("constraint", "lam", True),
+    ("ensemble.json", "dim", _rank_one_vectors_under_dim(-1)),
+    ("ensemble.json", "dim", _rank_one_vectors_under_dim(0)),
 ], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "dim_huge", "not_hermitian",
         "y_nan", "vectors_nan", "truth_factor_infinite", "rank_above_n", "noise_norm_infinite", "rank_bool",
-        "seed_bool", "noise_norm_bool", "lam_bool"])
+        "seed_bool", "noise_norm_bool", "lam_bool", "dim_negative_vectors", "dim_zero_vectors"])
 def test_malformed_instance_file_exits_64_naming_it(tmp_path, capsys, where, key, value):
     assert solve_mutated_instance(tmp_path, where, key, value) == EXIT_USAGE
     err = capsys.readouterr().err

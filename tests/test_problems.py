@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import dense_stack, synthetic_rows_per_operator
+from oracles import dense_stack, kron_pauli, synthetic_rows_per_operator
 
 from fpgd import linalg, problems
 from fpgd.linalg import factor_from_psd, project_frobenius_ball, project_l1_ball
@@ -69,10 +69,16 @@ def test_pauli_normalization_and_trace():
 
 
 def test_pauli_matches_kron_oracle():
-    for index in ("13", "22", "301"):
-        q = len(index)
-        got = pauli_operator(q, index, normalize=False)
-        assert np.allclose(got, kron_oracle(index), atol=1e-12)
+    # Every string for q <= 4, both normalizations: equal to the kron chain and, unnormalized, to the
+    # elementwise chain; no part is -0.0 (the kron chain's -1j of sigma_y leaves some).
+    for q in range(1, 5):
+        for index in (np.base_repr(v, 4).zfill(q) for v in range(4**q)):
+            assert np.array_equal(pauli_operator(q, index, normalize=False), kron_oracle(index)), index
+            for normalize in (False, True):
+                got = pauli_operator(q, index, normalize=normalize)
+                assert np.array_equal(got, kron_pauli(index, normalize)), (index, normalize)
+                parts = got.view(float)
+                assert not np.signbit(parts[parts == 0.0]).any(), (index, normalize)
 
 
 def test_pauli_result_is_a_fresh_array():
@@ -153,7 +159,7 @@ def test_qst_pauli_strings_distinct():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_qst_operators_are_scaled_paulis_bit_for_bit(q):
-    # Every byte (signed zeros included) must equal scale * pauli_operator(q, s),
+    # Every byte (signed zeros included) must equal scale * kron_pauli(s),
     # the normalized kron product scaled.  m = 50 of 64 strings (q = 3) are drawn
     # by permutation, m = 333 of 1024 (q = 5) by rejection, zero-padded ones among them.
     inst = gen_qst(q=q, r=1, c_sam=3.0, noise_norm=0.0, seed=4)
@@ -161,18 +167,19 @@ def test_qst_operators_are_scaled_paulis_bit_for_bit(q):
     strings = inst.meta["pauli_strings"]
     assert all(len(s) == q for s in strings)
     scale = (2**q) ** 1.5 / np.sqrt(ens.m)
-    expected = np.stack([scale * pauli_operator(q, s) for s in strings])
+    expected = np.stack([scale * kron_pauli(s) for s in strings])
     assert dense_stack(ens).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_rows_from_bit_masks_are_scaled_paulis_bit_for_bit(q):
-    # Every Pauli string: the unpacked stack equals scale * pauli_operator byte for byte, and so do
+    # Every Pauli string: the unpacked stack equals scale * kron_pauli byte for byte, and so do
     # the packed rows the kron chains give.
     n, m, strings = 2**q, 4**q, [np.base_repr(v, 4).zfill(q) for v in range(4**q)]
     scale = n**1.5 / np.sqrt(3.0 * m)
-    expected = [scale * pauli_operator(q, s) for s in strings]
-    rows = DenseStack.from_monomials(problems._pauli_monomials(q, strings, scale), m, n, True)
+    expected = [scale * kron_pauli(s) for s in strings]
+    c = scale * (1.0 / np.sqrt(2.0**q))
+    rows = DenseStack.from_monomials(problems._pauli_monomials(q, np.arange(m), c), m, n, True)
     assert dense_stack(MeasurementEnsemble(rows, np.zeros(m))).tobytes() == np.stack(expected).tobytes()
     assert rows.array.tobytes() == DenseStack(expected, m, n, True).array.tobytes()
 
@@ -183,7 +190,7 @@ def test_qst_rows_by_rejection_sampling_are_scaled_paulis_bit_for_bit():
     inst = gen_qst(q=q, r=1, c_sam=3.0, noise_norm=0.0, seed=5)
     ens, strings = inst.objective.ensemble, inst.meta["pauli_strings"]
     scale = n**1.5 / np.sqrt(ens.m)
-    expected = DenseStack((scale * pauli_operator(q, s) for s in strings), ens.m, n, True)
+    expected = DenseStack((scale * kron_pauli(s) for s in strings), ens.m, n, True)
     assert ens.m == 799 and ens.operator.array.tobytes() == expected.array.tobytes()
 
 
@@ -411,6 +418,23 @@ def test_constraint_faithfulness_is_derived_not_stored():
 def test_constraint_from_json_refuses_bad_kind_or_radius(doc):
     with pytest.raises(ValueError):
         ConstraintSet.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, lam",
+    [("frobenius_ball", -1.0), ("box", None), ("l1_ball", None), ("frobenius_ball", float("nan"))],
+    ids=["negative_lam", "unknown_kind", "missing_lam", "nan_lam"],
+)
+def test_constraint_set_refuses_bad_kind_or_radius_when_built(kind, lam):
+    # Refused on construction, not first at project or contains.
+    with pytest.raises(ValueError):
+        ConstraintSet(kind, lam)
+
+
+def test_constraint_set_stores_lam_as_a_float():
+    ball = ConstraintSet("l1_ball", 2)
+    assert type(ball.lam) is float and ball == l1_ball(2.0)
+    assert type(frobenius_ball(np.float32(0.5)).lam) is float and unconstrained().lam is None
 
 
 NAN = float("nan")
