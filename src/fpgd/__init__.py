@@ -12,7 +12,7 @@ from .linalg import (
     spectral_norm,
     trace_inner,
 )
-from .objective import DenseStack, MeasurementEnsemble, Objective, RankOne, empirical_rip
+from .objective import DenseStack, MeasurementEnsemble, Objective, RankOne
 from .problems import (
     ConstraintSet,
     ProblemInstance,
@@ -30,7 +30,6 @@ from .solver import (
     fgd_solve,
     init_point,
     projfgd_solve,
-    step_size,
     summary_dict,
     write_summary_json,
     write_trace_csv,

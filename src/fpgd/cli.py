@@ -50,12 +50,6 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def canonical_config_bytes(doc):
-    """Canonical serialized form; loading and re-serializing a config file
-    reproduces these bytes exactly."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
 def load_config(path):
     try:
         with open(path) as fh:
@@ -65,11 +59,6 @@ def load_config(path):
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc
-
-
-def write_config(doc, path):
-    with open(path, "wb") as fh:
-        fh.write(canonical_config_bytes(doc))
 
 
 _REQUIRED = object()

@@ -331,7 +331,7 @@ def check_init_bound(instance):
     ratio = min(mu_hat / l_hat, 1.0)
     rho = np.sqrt((1.0 - ratio) / (2.0 * (np.sqrt(2.0) - 1.0))) * tau_u**2 * np.sqrt(srank)
     bound = float(rho * s[-1])
-    u0 = init_point(obj, unconstrained(), n)
+    _, u0 = init_point(obj, unconstrained(), n)
     dist = procrustes_dist(u0, instance.truth_factor)
     vacuous = bound >= float(np.linalg.norm(u0) + np.linalg.norm(instance.truth_factor))
     return {

@@ -60,13 +60,8 @@ def require_hermitian(m, what="matrix"):
 
 
 def spectral_norm(m):
-    """Largest singular value; uses |eigenvalues| for Hermitian input."""
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
-    if is_hermitian(m, tol=1e-10):  # False for non-square input
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.linalg.norm(m, 2))
+    """Largest |eigenvalue| of a Hermitian matrix, its spectral norm; other input raises ValueError."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(require_hermitian(m)))))
 
 
 def gram_rel_change(u1, u0):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import gaussian, require_hermitian
 
-__all__ = ["DenseStack", "RankOne", "MeasurementEnsemble", "Objective", "empirical_rip"]
+__all__ = ["DenseStack", "RankOne", "MeasurementEnsemble", "Objective"]
 
 # Power iteration for L_hat: relative Rayleigh-quotient tolerance, iteration
 # cap, and the seed of the start vector.
@@ -60,8 +60,16 @@ def _decode_array(doc, complex_field, shape):
 
 
 def _number(convert):
-    # ``convert``, refusing a JSON boolean (passed on as None): int(true) is 1, yet true is no number.
-    return lambda value: convert(None if isinstance(value, bool) else value)
+    # A JSON number read as ``convert`` (int or float).  A boolean, string or null is refused (int(true) is 1,
+    # float("1e-3") parses), and so is a fractional value read as an int; 3.0 reads as 3.
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{value!r} is not a JSON number")
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+        return convert(value)
+
+    return check
 
 
 def _packed_width(n, complex_field):
@@ -435,29 +443,3 @@ class Objective:
         self._mu_cache[rank] = best
         return best
 
-
-def empirical_rip(ensemble, rank, trials=200, seed=0):
-    """Empirical restricted-isometry spread of ||A(X)||^2 / ||X||_F^2
-    over random rank-r PSD matrices.
-
-    Returns a dict with the raw min/max ratio, the mean gain of the
-    ensemble, and ``delta`` measured around that gain (a deliberately
-    scaled ensemble is not an isometry defect).  Reported as a
-    diagnostic; the sandwich is probabilistic, not certified.
-    """
-    n = ensemble.dim
-    rng = np.random.default_rng(seed)
-    complex_field = ensemble.field == "complex"
-    ratios = np.empty(trials)
-    for k in range(trials):
-        g = gaussian(rng, (n, rank), complex_field)
-        x = g @ g.conj().T
-        x /= np.linalg.norm(x)
-        ratios[k] = float(np.sum(ensemble.apply(x) ** 2))
-    low, high, gain = float(ratios.min()), float(ratios.max()), float(ratios.mean())
-    return {
-        "low": low,
-        "high": high,
-        "gain": gain,
-        "delta": max(1.0 - low / gain, high / gain - 1.0),
-    }

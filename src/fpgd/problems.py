@@ -30,8 +30,6 @@ __all__ = [
 # the most significant bit as in np.kron; and (-i)^k for k = #Y mod 4, as (real, imaginary) pairs.
 _XZ, _PHASES = np.array([[0, 1, 1, 0], [0, 0, 1, 1]]), np.array([[1, 0], [0, -1], [-1, 0], [0, 1]])
 
-_CONTAINS_TOL = 1e-10  # the slack ConstraintSet.contains allows on the radius lam
-
 # gen_synthetic draws, symmetrizes and packs its operators in blocks of about this many entries.
 _SYNTHETIC_BLOCK = 4096
 
@@ -80,13 +78,6 @@ class ConstraintSet:
         if out is v:  # feasible, so no norm is taken; an infeasible v is nonzero
             return v, 1.0
         return out, float(np.linalg.norm(out)) / float(np.linalg.norm(v))
-
-    def contains(self, v):
-        if self.kind == "unconstrained":
-            return True
-        if self.kind == "frobenius_ball":
-            return float(np.linalg.norm(v)) <= self.lam + _CONTAINS_TOL
-        return float(np.abs(v).sum()) <= self.lam + _CONTAINS_TOL
 
     def to_json_dict(self):
         return {"kind": self.kind, "lam": self.lam, "faithful": self.faithful}
@@ -292,8 +283,7 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     truth_factor = basis * np.sqrt(spectrum)
     return _observed_instance(
         ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed,
-        meta={"kind": "qst", "q": q, "c_sam": c_sam,
-              "pauli_strings": [np.base_repr(v, 4).zfill(q) for v in codes]},
+        meta={"kind": "qst", "q": q, "c_sam": c_sam, "pauli_codes": codes},
     )
 
 

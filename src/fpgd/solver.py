@@ -35,7 +35,6 @@ __all__ = [
     "TRACE_COLUMNS",
     "SolveTrace",
     "init_point",
-    "step_size",
     "projfgd_solve",
     "fgd_solve",
     "write_trace_csv",
@@ -109,10 +108,16 @@ class SolveTrace:
         return [self.initial_dist] + list(self.dist)
 
 
-def _init(obj, constraint, r):
-    # X_0 = (1/L_hat) Pi_+(-grad f(0)) = F F^H from one eigendecomposition, with
-    # -grad f(0) = 2 A*(y).  F's columns have non-increasing norms, so the top-r factor
-    # is F[:, :r] and U_0 = Pi_C of it.  The fixed step is taken at X_0, not at U_0 U_0^H.
+def init_point(obj, constraint, r):
+    """Initial point ``(F, U_0)``: X_0 = (1/L_hat) Pi_+(-grad f(0)) = F F^H, with
+    -grad f(0) = 2 A*(y), and U_0 = Pi_C(F[:, :r]), its top-r factor projected
+    onto the constraint set.
+
+    F comes from one eigendecomposition and has non-increasing column norms.
+    The fixed step is taken at X_0, not at U_0 U_0^H.  Degenerate case: if
+    -grad f(0) has no positive part, F and U_0 are zero (a documented fixed
+    point of the iteration).
+    """
     ens = obj.ensemble
     n = obj.dim
     if not 1 <= r <= n:
@@ -122,27 +127,9 @@ def _init(obj, constraint, r):
     return f, u0
 
 
-def init_point(obj, constraint, r):
-    """Initial factor: X_0 = (1/L_hat) Pi_+(-grad f(0)), top-r factor,
-    then projected onto the constraint set.
-
-    Degenerate case: if -grad f(0) has no positive part the zero factor
-    is returned (a documented fixed point of the iteration).
-    """
-    return _init(obj, constraint, r)[1]
-
-
 def _step_denominator(obj, x):
     # L_hat ||x||_2 + ||grad f(x)||_2: the fixed step's at X_0, the contraction rate's at X*.
     return obj.smoothness() * spectral_norm(x) + spectral_norm(obj.grad(x))
-
-
-def step_size(obj, x0, constant=PROJFGD_STEP_CONSTANT):
-    """eta = C / (L_hat ||x0||_2 + ||grad f(x0)||_2)."""
-    denom = _step_denominator(obj, x0)
-    if denom == 0.0:
-        raise ValueError("zero step-size denominator: x0 and grad f(x0) both vanish")
-    return constant / denom
 
 
 def _adaptive_step(ens, l_hat, u, z, constant):
@@ -174,7 +161,7 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
     t0 = time.perf_counter()
 
     if u0 is None:
-        f, u = _init(obj, constraint, cfg.rank)
+        f, u = init_point(obj, constraint, cfg.rank)
     else:
         u, _ = constraint.project(np.asarray(u0))
         f = u

@@ -171,7 +171,8 @@ def dense_stack(ens):
     return np.stack([ens.adjoint(e) for e in np.eye(ens.m)])
 
 
-def _dense_spectral_norm(x):
+def dense_spectral_norm(x):
+    """max |eigenvalue| from the lower triangle of ``x``, with no Hermitian check."""
     return float(np.max(np.abs(np.linalg.eigvalsh(x))))
 
 
@@ -206,7 +207,7 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
     blowup = 1e6 * (trace.initial_objective + 1e-12 * (1.0 + float(ens.y @ ens.y)))
     eta = None
     if cfg.step_mode == "fixed_from_init":
-        denom = l_hat * _dense_spectral_norm(x_ref) + _dense_spectral_norm(obj.grad(x_ref))
+        denom = l_hat * dense_spectral_norm(x_ref) + dense_spectral_norm(obj.grad(x_ref))
         if denom == 0.0:
             trace.status = "converged"
             return u, trace
@@ -218,7 +219,7 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
         if cfg.step_mode == "adaptive_per_iter":
             q = scipy.linalg.orth(u)
             column_norm = float(np.linalg.norm(q.conj().T @ grad_x, 2)) if q.size else 0.0
-            denom = l_hat * _dense_spectral_norm(x) + column_norm
+            denom = l_hat * dense_spectral_norm(x) + column_norm
             if denom == 0.0:
                 trace.status = "converged"
                 break
@@ -233,8 +234,8 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
         if not np.isfinite(f_val):
             rel_change = float("inf")
         else:
-            denom_norm = _dense_spectral_norm(x_next)
-            diff_norm = _dense_spectral_norm(x_next - x)
+            denom_norm = dense_spectral_norm(x_next)
+            diff_norm = dense_spectral_norm(x_next - x)
             if denom_norm == 0.0:
                 rel_change = 0.0 if diff_norm == 0.0 else float("inf")
             else:

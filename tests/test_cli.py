@@ -19,10 +19,7 @@ from fpgd.cli import (
     EXIT_USAGE,
     build_instance,
     build_solver_config,
-    canonical_config_bytes,
-    load_config,
     main,
-    write_config,
 )
 from fpgd.objective import _encode_array
 from fpgd.problems import gen_qst
@@ -49,21 +46,6 @@ def test_import_loads_no_scipy():
     probe = "import sys, fpgd, fpgd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
-
-
-# ---------------------------------------------------------------------------
-# config round trip
-# ---------------------------------------------------------------------------
-
-
-def test_config_roundtrips_bit_exactly(tmp_path):
-    path = tmp_path / "cfg.json"
-    write_config(QST_SOLVE_CONFIG, path)
-    first = path.read_bytes()
-    doc = load_config(path)
-    assert canonical_config_bytes(doc) == first
-    write_config(doc, path)
-    assert path.read_bytes() == first
 
 
 def test_malformed_config_exits_64(tmp_path):
@@ -356,6 +338,11 @@ MALFORMED = {
     "sweep_seeds_negative": ("sweep", sweep_config([3], [2.0], -1)),  # else a header-only sweep.csv
     "sweep_seeds_zero": ("sweep", sweep_config([3], [2.0], 0)),
     "sweep_q_empty": ("sweep", sweep_config([], [2.0], 1)),
+    "problem_q_fractional": ("solve", dict(QST_SOLVE_CONFIG, problem=dict(QST_SOLVE_CONFIG["problem"], q=3.9))),
+    "problem_q_string": ("solve", dict(QST_SOLVE_CONFIG, problem=dict(QST_SOLVE_CONFIG["problem"], q="3"))),
+    "max_iters_fractional": ("solve", dict(QST_SOLVE_CONFIG, solver={"max_iters": 3.7})),
+    "seed_fractional": ("solve", dict(QST_SOLVE_CONFIG, seed=1.5)),
+    "noise_string": ("solve", dict(QST_SOLVE_CONFIG, problem=dict(QST_SOLVE_CONFIG["problem"], noise="1e-3"))),
 }
 
 
@@ -799,9 +786,12 @@ def _rank_above_n_with_factor(doc):
     ("constraint", "lam", True),
     ("ensemble.json", "dim", _rank_one_vectors_under_dim(-1)),
     ("ensemble.json", "dim", _rank_one_vectors_under_dim(0)),
+    ("instance.json", "rank", 1.5),
+    ("ensemble.json", "dim", "2"),
 ], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "dim_huge", "not_hermitian",
         "y_nan", "vectors_nan", "truth_factor_infinite", "rank_above_n", "noise_norm_infinite", "rank_bool",
-        "seed_bool", "noise_norm_bool", "lam_bool", "dim_negative_vectors", "dim_zero_vectors"])
+        "seed_bool", "noise_norm_bool", "lam_bool", "dim_negative_vectors", "dim_zero_vectors",
+        "rank_fractional", "dim_string"])
 def test_malformed_instance_file_exits_64_naming_it(tmp_path, capsys, where, key, value):
     assert solve_mutated_instance(tmp_path, where, key, value) == EXIT_USAGE
     err = capsys.readouterr().err

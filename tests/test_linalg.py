@@ -119,12 +119,13 @@ def test_psd_project_variational_inequality():
 
 
 def test_spectral_norm_branches():
-    # Hermitian input takes |eigenvalues|; non-Hermitian and non-square input
-    # the general 2-norm; an empty matrix has norm 0.
+    # Hermitian input gives max |eigenvalue|; non-Hermitian and non-square input is refused.
     assert spectral_norm(np.diag([3.0, 1.0, -4.0])) == 4.0
-    for m in (np.array([[0.0, 2.0], [0.0, 0.0]]), np.arange(6.0).reshape(2, 3)):
-        assert spectral_norm(m) == np.linalg.norm(m, 2)
-    assert spectral_norm(np.zeros((0, 0))) == 0.0
+    assert spectral_norm(np.array([[1.0, 2j], [-2j, 1.0]])) == pytest.approx(3.0, rel=1e-15)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        spectral_norm(np.array([[0.0, 2.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="must be square"):
+        spectral_norm(np.arange(6.0).reshape(2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from oracles import dense_stack
 
 from fpgd.diagnostics import fd_factored_gradient, fd_gradient
 from fpgd.linalg import gaussian, trace_inner
-from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne, empirical_rip
+from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne
 from fpgd.problems import gen_phase_retrieval, gen_qst, gen_synthetic, pauli_operator
 
 
@@ -200,15 +200,6 @@ def test_adjoint_consistency():
             lhs = float(ens.apply(x) @ z)
             rhs = trace_inner(x, ens.adjoint(z))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-def test_rip_report_qst_ensemble():
-    inst = gen_qst(q=4, r=1, c_sam=3.0, noise_norm=0.0, seed=0)
-    report = empirical_rip(inst.objective.ensemble, 1, trials=100, seed=0)
-    print(f"QST q=4 RIP report: {report}")
-    assert np.isfinite(report["delta"])
-    assert report["low"] > 0.0
-    assert report["high"] >= report["low"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Random small ensembles, dense (real or complex Hermitian stacks) and
 rank-one (sensing vectors a_i for E_i = a_i a_i^H), drawn from a seed
 that hypothesis chooses.  The dense twin ``MeasurementEnsemble(dense_stack(ens), y)``
 is the oracle for the rank-one form, and the n x n ``apply``/``adjoint``
-and ``spectral_norm`` are the oracles for the factor-space primitives and
+and ``dense_spectral_norm`` are the oracles for the factor-space primitives and
 stopping norms.  The packed dense form is checked against entry-by-entry
 sums over the stack it was built from.  The constraint projections are checked against their
 variational inequality, and the Procrustes distance against its symmetry
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_stack, gram_rel_change_reference
+from oracles import dense_spectral_norm, dense_stack, gram_rel_change_reference
 
 from fpgd.linalg import (
     gram_rel_change,
@@ -27,7 +27,6 @@ from fpgd.linalg import (
     project_frobenius_ball,
     project_l1_ball,
     psd_project,
-    spectral_norm,
     trace_inner,
 )
 from fpgd.objective import DenseStack, MeasurementEnsemble
@@ -215,7 +214,7 @@ factor_pairs = st.tuples(
 @given(factor_pairs)
 def test_factor_space_norms_match_dense(spec):
     # ||U1 U1^H - U0 U0^H||_2 / ||U1 U1^H||_2 without an n x n matrix agrees
-    # with the ratio of spectral_norm of the dense matrices; it is exactly 0
+    # with the ratio of the dense matrices' eigenvalue norms; it is exactly 0
     # when both vanish and inf when only U1 U1^H does.
     kind, complex_field, n, r, seed = spec
     rng = np.random.default_rng(seed)
@@ -234,14 +233,14 @@ def test_factor_space_norms_match_dense(spec):
     elif kind == "zero_new":
         u1[:] = 0.0
     x0, x1 = u0 @ u0.conj().T, u1 @ u1.conj().T
-    top = spectral_norm(x1)
+    top = dense_spectral_norm(x1)
     ratio = gram_rel_change(u1, u0)
     if top == 0.0:
         assert ratio == (0.0 if kind == "zero_both" else float("inf"))
         return
-    dense = spectral_norm(x1 - x0) / top
+    dense = dense_spectral_norm(x1 - x0) / top
     # Both norms within REL * max(||X1||_2, ||X0||_2) bound the ratio's error by this.
-    scale = max(top, spectral_norm(x0))
+    scale = max(top, dense_spectral_norm(x0))
     assert abs(ratio - dense) <= REL * (scale / top) * (1.0 + dense)
 
 

@@ -25,10 +25,10 @@ from fpgd.solver import (
     TRACE_COLUMNS,
     SolverConfig,
     _adaptive_step,
+    _step_denominator,
     fgd_solve,
     init_point,
     projfgd_solve,
-    step_size,
     summary_dict,
     write_summary_json,
     write_trace_csv,
@@ -53,8 +53,8 @@ def scalar_instance(y_value, constraint=None):
 
 def test_init_zero_observations_degenerate():
     ens = MeasurementEnsemble(np.eye(3)[None, :, :], np.array([0.0]), 0.0)
-    u0 = init_point(Objective(ens), unconstrained(), 2)
-    assert np.allclose(u0, 0.0)
+    f, u0 = init_point(Objective(ens), unconstrained(), 2)
+    assert np.allclose(f, 0.0) and np.allclose(u0, 0.0)
 
 
 def test_init_scalar_hand_arithmetic():
@@ -62,19 +62,20 @@ def test_init_scalar_hand_arithmetic():
     inst = scalar_instance(1.0)
     obj = inst.objective
     assert obj.smoothness() == pytest.approx(2.0, rel=1e-6)
-    u0 = init_point(obj, unconstrained(), 1)
-    assert u0[0, 0] == pytest.approx(1.0, rel=1e-6)
-    u0 = init_point(obj, frobenius_ball(0.5), 1)
+    f, u0 = init_point(obj, unconstrained(), 1)
+    assert f[0, 0] == u0[0, 0] == pytest.approx(1.0, rel=1e-6)
+    f, u0 = init_point(obj, frobenius_ball(0.5), 1)
+    assert f[0, 0] == pytest.approx(1.0, rel=1e-6)  # X_0 is taken before the projection
     assert u0[0, 0] == pytest.approx(0.5, rel=1e-6)
-    u0 = init_point(obj, frobenius_ball(2.0), 1)
+    _, u0 = init_point(obj, frobenius_ball(2.0), 1)
     assert u0[0, 0] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_init_feasible_on_generated_instances():
     inst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=1e-3, seed=0)
-    u0 = init_point(inst.objective, inst.constraint, inst.rank)
-    assert u0.shape == (8, 1)
-    assert inst.constraint.contains(u0)
+    f, u0 = init_point(inst.objective, inst.constraint, inst.rank)
+    assert f.shape == (8, 8) and u0.shape == (8, 1)
+    assert np.linalg.norm(u0) <= inst.constraint.lam + 1e-10
 
 
 @pytest.mark.parametrize("r", [0, 9])
@@ -136,7 +137,7 @@ def test_adaptive_step_solve_takes_no_two_norm(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# step_size
+# step size: C / _step_denominator
 # ---------------------------------------------------------------------------
 
 
@@ -146,12 +147,12 @@ def test_step_size_formula_instantiation():
     obj = Objective(ens)
     obj._smoothness = 1.0
     x0 = np.eye(2)  # A(x0) = y so grad vanishes; ||x0||_2 = 1
-    assert step_size(obj, x0, 1.0 / 128.0) == pytest.approx(1.0 / 128.0)
+    assert (1.0 / 128.0) / _step_denominator(obj, x0) == pytest.approx(1.0 / 128.0)
     # doubling both spectral norms halves eta
     x2 = 2.0 * np.eye(2)
     obj2 = Objective(MeasurementEnsemble(dense_stack(ens), np.array([2.0 * np.sqrt(2.0)]), 0.0))
     obj2._smoothness = 1.0
-    assert step_size(obj2, x2, 1.0 / 128.0) == pytest.approx(1.0 / 256.0)
+    assert (1.0 / 128.0) / _step_denominator(obj2, x2) == pytest.approx(1.0 / 256.0)
 
 
 def test_step_size_matches_dense_recomputation():
@@ -165,13 +166,7 @@ def test_step_size_matches_dense_recomputation():
             obj.smoothness() * np.max(np.abs(np.linalg.eigvalsh(x)))
             + np.max(np.abs(np.linalg.eigvalsh(obj.grad(x))))
         )
-        assert step_size(obj, x) == pytest.approx(expected, rel=1e-10)
-
-
-def test_step_size_zero_denominator():
-    ens = MeasurementEnsemble(np.eye(2)[None, :, :], np.array([0.0]), 0.0)
-    with pytest.raises(ValueError):
-        step_size(Objective(ens), np.zeros((2, 2)))
+        assert PROJFGD_STEP_CONSTANT / _step_denominator(obj, x) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
