@@ -21,7 +21,6 @@ from .problems import (
     gen_qst,
     gen_synthetic,
     l1_ball,
-    pauli_operator,
     unconstrained,
 )
 from .solver import (

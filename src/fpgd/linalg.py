@@ -27,7 +27,7 @@ __all__ = [
 # Eigenvalues below this (relative to the top one) count as numerically zero
 # when extracting factors of degenerate-rank matrices.
 _RANK_EPS = 1e-12
-_HERMITIAN_TOL = 1e-12  # is_hermitian's default bound on |M - M^H|, relative to max|M|
+_HERMITIAN_TOL = 1e-12  # is_hermitian's bound on |M - M^H|, relative to max|M|
 
 
 def gaussian(rng, shape, complex_field):
@@ -41,13 +41,13 @@ def trace_inner(a, b):
     return float(np.real(np.vdot(a, b)))
 
 
-def is_hermitian(m, tol=_HERMITIAN_TOL):
-    """Check entrywise conjugate symmetry up to tol * max|entry|."""
+def is_hermitian(m):
+    """Check entrywise conjugate symmetry up to _HERMITIAN_TOL * max|entry|; a (0, 0) matrix is Hermitian."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol * max(scale, 1e-300))
+    scale = np.max(np.abs(m), initial=0.0)
+    return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= _HERMITIAN_TOL * max(scale, 1e-300))
 
 
 def require_hermitian(m, what="matrix"):

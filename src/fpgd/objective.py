@@ -251,8 +251,8 @@ class MeasurementEnsemble:
             raise ValueError("noise_norm must be finite and non-negative")
         if not isinstance(operators, _FORMS):
             a = np.ascontiguousarray(operators)
-            if a.ndim != 2 and (a.ndim != 3 or a.shape[1] != a.shape[2]):
-                raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors, got {a.shape}")
+            if a.ndim not in (2, 3) or a.shape[1] != a.shape[-1] or a.shape[-1] < 1:
+                raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors with n >= 1, got {a.shape}")
             operators = RankOne(a) if a.ndim == 2 else DenseStack(_checked(a), *a.shape[:2], np.iscomplexobj(a))
         if y.shape != (operators.m,):
             raise ValueError("y length must match the number of operators")

@@ -20,7 +20,6 @@ __all__ = [
     "frobenius_ball",
     "l1_ball",
     "ProblemInstance",
-    "pauli_operator",
     "gen_qst",
     "gen_phase_retrieval",
     "gen_synthetic",
@@ -33,8 +32,8 @@ _XZ, _PHASES = np.array([[0, 1, 1, 0], [0, 0, 1, 1]]), np.array([[1, 0], [0, -1]
 # gen_synthetic draws, symmetrizes and packs its operators in blocks of about this many entries.
 _SYNTHETIC_BLOCK = 4096
 
-# Qubit counts past this would need >= 4^13 * 16 bytes per operator batch.
-_MAX_QUBITS = 12
+# The widest Pauli strings whose int64 codes int(s, 4) < 4^q fit; below it the memory guard decides.
+_MAX_QUBITS = 31
 
 
 @dataclass(frozen=True)
@@ -160,31 +159,6 @@ class ProblemInstance:
         )
 
 
-def pauli_operator(q, index, normalize=True):
-    """Tensor product of single-qubit Pauli matrices, one per digit.
-
-    Parameters
-    ----------
-    q : qubit count, 1 <= q <= 12.
-    index : base-4 digit string of length q; 0,1,2,3 pick I, sigma_x,
-        sigma_y, sigma_z.
-    normalize : divide by sqrt(2^q) so the operator has unit Frobenius
-        norm (the convention used throughout; distinct index strings are
-        then orthonormal under the trace inner product).
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q > _MAX_QUBITS:
-        raise ValueError(f"q={q} exceeds the memory budget (max {_MAX_QUBITS})")
-    if len(index) != q or any(d not in "0123" for d in index):
-        raise ValueError(f"index must be a length-{q} string over digits 0-3")
-    c = 1.0 / np.sqrt(2.0**q) if normalize else 1.0
-    (cols,), (values,) = next(_pauli_monomials(q, np.array([int(index, 4)]), c))
-    op = np.zeros((2**q, 2**q), dtype=complex)
-    op[np.arange(2**q), cols] = values
-    return op
-
-
 def _pauli_monomials(q, codes, c):
     """(cols, values) of c times the Pauli strings of ``codes``, int(s, 4) of each string s, 64 at a time: row j
     of P_s holds (-i)^{#Y} (-1)^{|j & z|} at column j ^ x.  Parts are c times 0 or ±1: no -0.0."""
@@ -251,10 +225,12 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     """Quantum state tomography instance: rank-r density matrix, Pauli
     measurements, Frobenius-ball factored constraint.
 
-    n = 2^q; m = round(c_sam * r * n * ln n) distinct Pauli index strings
-    sampled uniformly without replacement.  X* is PSD rank-r with unit
-    trace (random orthonormal directions, Dirichlet(1,...,1) spectrum);
-    the noise vector is rescaled to exactly ``noise_norm``.
+    n = 2^q for 1 <= q <= 31, the widest strings whose int64 codes fit; the
+    memory guard refuses a larger packed stack than fits, with its byte count
+    (q = 9 at c_sam = 3, r = 1 needs 18.7 GiB).  m = round(c_sam * r * n * ln n)
+    distinct Pauli index strings sampled uniformly without replacement.  X* is
+    PSD rank-r with unit trace (random orthonormal directions,
+    Dirichlet(1,...,1) spectrum); the noise is rescaled to exactly ``noise_norm``.
 
     Sampled operators carry a uniform gain n^{3/2} / sqrt(m) on top of
     the unit-Frobenius Pauli convention, so ||A(X)||^2 ~ n ||X||_F^2:

@@ -150,16 +150,15 @@ _PAULI = {
 }
 
 
-def kron_pauli(index, normalize=True):
+def kron_pauli(index):
     """The Pauli string ``index`` (digits 0-3 for I, sigma_x, sigma_y, sigma_z) as the kron
-    chain of its 2 x 2 factors, divided by sqrt(2^q) when ``normalize``.  The -1j of sigma_y
-    leaves some -0.0 parts that ``problems.pauli_operator`` does not have."""
-    op = _PAULI[index[0]].copy()  # a fresh array: the caller may scale it in place
+    chain of its 2 x 2 factors divided by sqrt(2^q): the oracle of the library's
+    ``problems._pauli_monomials``.  The -1j of sigma_y leaves some -0.0 parts that the
+    monomials do not have."""
+    op = _PAULI[index[0]]
     for digit in index[1:]:
         op = np.kron(op, _PAULI[digit])
-    if normalize:
-        op = op / np.sqrt(2.0 ** len(index))
-    return op
+    return op / np.sqrt(2.0 ** len(index))  # a fresh array: the caller may scale it in place
 
 
 def dense_stack(ens):

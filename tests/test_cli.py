@@ -372,6 +372,8 @@ NAN = float("nan")
     "problem, message",
     [(dict(QST_PROBLEM, c_sam=0.0), "measurement count"),
      (dict(QST_PROBLEM, q=5), "bytes available"),
+     (dict(QST_PROBLEM, q=13), "bytes available"),
+     (dict(QST_PROBLEM, q=64), "q must be in [1, 31]"),
      (dict(QST_PROBLEM, c_sam=1e308), "measurement count"),
      ({"kind": "phase_retrieval", "n": 10**6, "sparsity": 1, "m": 10**10}, "bytes available"),
      (dict(QST_PROBLEM, noise=NAN), "noise_norm must be"),
@@ -383,9 +385,9 @@ NAN = float("nan")
      (dict(QST_PROBLEM, r=-1), "r=-1 must be in [1, 2^q = 16]"),
      ({"kind": "phase_retrieval", "n": 8, "sparsity": 0, "m": 16}, "sparsity=0 must be in [1, n = 8]"),
      ({"kind": "phase_retrieval", "n": 8, "sparsity": -1, "m": 16}, "sparsity=-1 must be in [1, n = 8]")],
-    ids=["c_sam_too_small", "memory_guard", "c_sam_overflow", "phase_retrieval_memory_guard",
-         "noise_nan", "noise_infinite", "lam_nan", "condition_number_nan", "synthetic_rank_zero", "qst_rank_zero",
-         "qst_rank_negative", "sparsity_zero", "sparsity_negative"],
+    ids=["c_sam_too_small", "memory_guard", "memory_guard_q13", "code_width_q64", "c_sam_overflow",
+         "phase_retrieval_memory_guard", "noise_nan", "noise_infinite", "lam_nan", "condition_number_nan",
+         "synthetic_rank_zero", "qst_rank_zero", "qst_rank_negative", "sparsity_zero", "sparsity_negative"],
 )
 def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem, message):
     # A well-formed config the generator refuses is a numeric failure, not a

@@ -77,6 +77,11 @@ def test_eig_rejects_bad_input():
     assert not is_hermitian(np.ones((2, 3)))
 
 
+def test_empty_matrix_is_hermitian():
+    # Both maxima start from 0: a (0, 0) matrix is an answer, not numpy's zero-size reduction error.
+    assert is_hermitian(np.zeros((0, 0))) and is_hermitian(np.zeros((0, 0), dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # psd_project
 # ---------------------------------------------------------------------------

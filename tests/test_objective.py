@@ -4,12 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from oracles import dense_stack
+from oracles import dense_stack, kron_pauli
 
 from fpgd.diagnostics import fd_factored_gradient, fd_gradient
 from fpgd.linalg import gaussian, trace_inner
 from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne
-from fpgd.problems import gen_phase_retrieval, gen_qst, gen_synthetic, pauli_operator
+from fpgd.problems import gen_phase_retrieval, gen_qst, gen_synthetic
 
 
 def random_ensemble(rng, n, m, complex_field=False, noise=0.0):
@@ -138,7 +138,7 @@ def test_smoothness_scalar_case():
 def test_smoothness_orthonormal_family():
     # all 16 normalized two-qubit Paulis form an orthonormal family
     strings = [f"{a}{b}" for a in "0123" for b in "0123"]
-    ops = np.stack([pauli_operator(2, s) for s in strings])
+    ops = np.stack([kron_pauli(s) for s in strings])
     ens = MeasurementEnsemble(ops, np.zeros(16), 0.0)
     assert Objective(ens).smoothness() == pytest.approx(2.0, rel=1e-3)
 
@@ -304,6 +304,9 @@ def test_ensemble_validation():
         MeasurementEnsemble(np.zeros((2, 3)), np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         MeasurementEnsemble(np.zeros((2, 3, 3)), np.zeros(3), 0.0)
+    for empty in (np.zeros((2, 0, 0)), np.zeros((2, 0))):  # n = 0, as from_json_dict refuses dim < 1
+        with pytest.raises(ValueError, match=r"sensing vectors with n >= 1, got \(2, 0"):
+            MeasurementEnsemble(empty, np.zeros(2), 0.0)
     nonherm = np.zeros((1, 2, 2))
     nonherm[0, 0, 1] = 1.0
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Problem generators: Pauli operators, QST, phase retrieval, synthetic."""
+"""Problem generators: Pauli rows, QST, phase retrieval, synthetic."""
 
 import dataclasses
 import json
@@ -18,101 +18,24 @@ from fpgd.problems import (
     gen_qst,
     gen_synthetic,
     l1_ball,
-    pauli_operator,
     unconstrained,
 )
 from fpgd.solver import SolverConfig
 
-SIGMA = {
-    "0": np.eye(2, dtype=complex),
-    "1": np.array([[0, 1], [1, 0]], dtype=complex),
-    "2": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "3": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def kron_oracle(index):
-    """Explicit elementwise Kronecker chain, independent of np.kron."""
-    mats = [SIGMA[d] for d in index]
-    size = 2 ** len(mats)
-    out = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            val = 1.0 + 0j
-            ii, jj = i, j
-            for m in reversed(mats):
-                val *= m[ii % 2, jj % 2]
-                ii //= 2
-                jj //= 2
-            out[i, j] = val
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Pauli operators
+# Pauli rows
 # ---------------------------------------------------------------------------
-
-
-def test_pauli_sigma_z():
-    assert np.allclose(pauli_operator(1, "3", normalize=False), np.diag([1.0, -1.0]))
-
-
-def test_pauli_identity():
-    assert np.allclose(pauli_operator(1, "0", normalize=False), np.eye(2))
-
-
-def test_pauli_normalization_and_trace():
-    op = pauli_operator(3, "123")
-    assert np.linalg.norm(op) == pytest.approx(1.0)
-    assert abs(np.trace(op)) < 1e-12  # traceless unless all digits are 0
-    assert np.trace(pauli_operator(2, "00")).real == pytest.approx(2.0)  # 4/sqrt(4)
-
-
-def test_pauli_matches_kron_oracle():
-    # Every string for q <= 4, both normalizations: equal to the kron chain and, unnormalized, to the
-    # elementwise chain; no part is -0.0 (the kron chain's -1j of sigma_y leaves some).
-    for q in range(1, 5):
-        for index in (np.base_repr(v, 4).zfill(q) for v in range(4**q)):
-            assert np.array_equal(pauli_operator(q, index, normalize=False), kron_oracle(index)), index
-            for normalize in (False, True):
-                got = pauli_operator(q, index, normalize=normalize)
-                assert np.array_equal(got, kron_pauli(index, normalize)), (index, normalize)
-                parts = got.view(float)
-                assert not np.signbit(parts[parts == 0.0]).any(), (index, normalize)
-
-
-def test_pauli_result_is_a_fresh_array():
-    # Scaling a q=1 result in place must not change the Paulis built after it.
-    for digit in "0123":
-        p = pauli_operator(1, digit, normalize=False)
-        p *= 2
-    assert np.array_equal(pauli_operator(1, "1", normalize=False), kron_oracle("1"))
-    assert np.array_equal(pauli_operator(2, "10"), kron_oracle("10") / 2)
-
-
-def test_pauli_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pauli_operator(2, "14")
-    with pytest.raises(ValueError):
-        pauli_operator(2, "012")
-    with pytest.raises(ValueError):
-        pauli_operator(13, "0" * 13)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_pauli_family_pairwise_orthonormal(q):
-    # exhaustive: all 4^q normalized operators are orthonormal under the
-    # trace inner product
-    strings = []
-    for v in range(4**q):
-        digits = []
-        for _ in range(q):
-            digits.append(str(v % 4))
-            v //= 4
-        strings.append("".join(reversed(digits)))
-    flat = np.stack([pauli_operator(q, s).ravel() for s in strings])
+    # exhaustive: the library's rows of all 4^q normalized Pauli strings are
+    # orthonormal under the trace inner product
+    m = 4**q
+    rows = DenseStack.from_monomials(problems._pauli_monomials(q, np.arange(m), 2 ** (-q / 2)), m, 2**q, True)
+    flat = dense_stack(MeasurementEnsemble(rows, np.zeros(m))).reshape(m, -1)
     gram = np.real(flat.conj() @ flat.T)
-    assert np.allclose(gram, np.eye(4**q), atol=1e-12)
+    assert np.allclose(gram, np.eye(m), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +97,15 @@ def test_qst_operators_are_scaled_paulis_bit_for_bit(q):
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_rows_from_bit_masks_are_scaled_paulis_bit_for_bit(q):
     # Every Pauli string: the unpacked stack equals scale * kron_pauli byte for byte, and so do
-    # the packed rows the kron chains give.
+    # the packed rows the kron chains give.  Each value is c times one of 1, -1, -i, i, so it
+    # has exactly one zero part, and none is -0.0 (the kron chain's -1j of sigma_y leaves some).
     n, m, strings = 2**q, 4**q, [np.base_repr(v, 4).zfill(q) for v in range(4**q)]
     scale = n**1.5 / np.sqrt(3.0 * m)
     expected = [scale * kron_pauli(s) for s in strings]
     c = scale * (1.0 / np.sqrt(2.0**q))
+    values = np.concatenate([v.ravel() for _, v in problems._pauli_monomials(q, np.arange(m), c)])
+    parts = values.view(float)
+    assert (parts == 0.0).sum() == m * n and not np.signbit(parts[parts == 0.0]).any()
     rows = DenseStack.from_monomials(problems._pauli_monomials(q, np.arange(m), c), m, n, True)
     assert dense_stack(MeasurementEnsemble(rows, np.zeros(m))).tobytes() == np.stack(expected).tobytes()
     assert rows.array.tobytes() == DenseStack(expected, m, n, True).array.tobytes()
@@ -192,15 +119,6 @@ def test_qst_rows_by_rejection_sampling_are_scaled_paulis_bit_for_bit():
     scale = n**1.5 / np.sqrt(ens.m)
     expected = DenseStack((scale * kron_pauli(np.base_repr(v, 4).zfill(q)) for v in codes), ens.m, n, True)
     assert ens.m == 799 and ens.operator.array.tobytes() == expected.array.tobytes()
-
-
-def test_qst_builds_no_pauli_matrix(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("gen_qst called pauli_operator")
-
-    monkeypatch.setattr(problems, "pauli_operator", refuse)
-    inst = gen_qst(q=4, r=1, c_sam=3.0, noise_norm=1e-3, seed=0)
-    assert inst.objective.ensemble.m == 133
 
 
 def test_qst_rejects_oversampling():
@@ -339,7 +257,7 @@ def test_dense_stack_refuses_a_wrong_operator_count():
 
 
 def test_generators_make_no_hermitian_check(monkeypatch):
-    # Generated operators are Hermitian by construction (scale * pauli_operator, (g + g^T) / denom);
+    # Generated operators are Hermitian by construction (scaled Pauli rows, (g + g^T) / denom);
     # only operators from outside the program, from a file or an (m, n, n) array, are checked.
     calls = []
     check = linalg.is_hermitian
@@ -522,6 +440,21 @@ def test_qst_refuses_stack_beyond_available_memory(eight_gib_available):
     assert need > 10 * 2**40  # ~13.7 TB
     with pytest.raises(ValueError, match=f"needs {need} bytes"):
         gen_qst(q=12, r=1, c_sam=3.0, seed=0)
+
+
+@pytest.mark.parametrize("q", [13, 31])
+def test_qst_memory_guard_decides_up_to_the_code_width(eight_gib_available, q):
+    # From q = 13 up to q = 31, the widest int64 codes, the memory guard refuses with the byte count.
+    n = 2**q
+    need = 8 * int(round(3.0 * n * np.log(n))) * n**2
+    with pytest.raises(ValueError, match=f"needs {need} bytes"):
+        gen_qst(q=q, r=1, c_sam=3.0, seed=0)
+
+
+@pytest.mark.parametrize("q", [32, 64])
+def test_qst_refuses_strings_wider_than_int64_codes(eight_gib_available, q):
+    with pytest.raises(ValueError, match=r"q must be in \[1, 31\]"):
+        gen_qst(q=q, r=1, c_sam=3.0, seed=0)
 
 
 def test_synthetic_refuses_stack_beyond_available_memory(eight_gib_available):
