@@ -28,12 +28,25 @@ __all__ = [
 # when extracting factors of degenerate-rank matrices.
 _RANK_EPS = 1e-12
 _HERMITIAN_TOL = 1e-12  # is_hermitian's bound on |M - M^H|, relative to max|M|
+# Bytes of the working block of a blocked kernel: gaussian's complex draws and RankOne's products.
+_BLOCK_BYTES = 2**19
 
 
 def gaussian(rng, shape, complex_field):
-    """Standard normal draw; a complex field adds an imaginary part drawn after the real one."""
-    g = rng.standard_normal(shape)
-    return g + 1j * rng.standard_normal(shape) if complex_field else g
+    """Standard normal draw; a complex field adds an imaginary part drawn after the real one.
+
+    The complex parts are written straight into the output, _BLOCK_BYTES of normals at a time: the
+    same normals in the same order as two whole draws, with no second array of the output's size.
+    """
+    if not complex_field:
+        return rng.standard_normal(shape)
+    out = np.empty(shape, dtype=complex)
+    parts, step = out.reshape(-1).view(float).reshape(-1, 2), _BLOCK_BYTES // 8  # columns Re, Im
+    for column in parts.T:
+        for start in range(0, len(column), step):
+            block = column[start : start + step]
+            block[:] = rng.standard_normal(len(block))
+    return out
 
 
 def trace_inner(a, b):

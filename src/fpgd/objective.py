@@ -26,7 +26,7 @@ import json
 
 import numpy as np
 
-from .linalg import gaussian, require_hermitian
+from .linalg import _BLOCK_BYTES, gaussian, require_hermitian
 
 __all__ = ["DenseStack", "RankOne", "MeasurementEnsemble", "Objective"]
 
@@ -175,7 +175,10 @@ class DenseStack:
 
 class RankOne:
     """Storage form: the (m, n) sensing vectors a_i of E_i = a_i a_i^H,
-    never expanded; every product is O(m n) per column."""
+    never expanded; every product is O(m n) per column.  ``apply`` and
+    ``adjoint`` work through blocks of rows, so that besides the vectors they
+    hold their result, one working block of about _BLOCK_BYTES and, for
+    ``adjoint``, one block's n x n product."""
 
     json_key = "vectors"
 
@@ -198,20 +201,39 @@ class RankOne:
     def json_rows(self):
         return [_encode_array(a) for a in self.array]
 
+    def _blocks(self, dtype):
+        # (rows, w) per block of rows: a slice of near-equal length (BLAS rounds a short block's products
+        # differently) and a reused (rows, n) array of ``dtype``, which with one more value per row fits
+        # _BLOCK_BYTES.  At least one block, so m = 0 gives the empty products.
+        most = max(1, _BLOCK_BYTES // (dtype.itemsize * (self.dim + 1)))  # rows a block may hold
+        count = max(1, -(-self.m // most))
+        edges = [self.m * k // count for k in range(count + 1)]
+        work = np.empty((-(-self.m // count), self.dim), dtype)
+        for start, stop in zip(edges, edges[1:]):
+            yield slice(start, stop), work[: stop - start]
+
     def apply(self, x):
-        # Re(a_i^H X a_i) = Re(conj(X a_i) . a_i): one matrix product for the
-        # rows X a_i, then row sums formed in place (no second m x n temporary).
-        a = self.array
-        rows = a @ x.T  # row i is X a_i
-        np.conjugate(rows, out=rows)
-        rows *= a
-        return np.real(rows.sum(axis=1))
+        # Re(a_i^H X a_i) = Re(conj(X a_i) . a_i): per block the rows X a_i,
+        # conjugated and weighted in place, then their row sums.
+        a, out = self.array, np.empty(self.m)
+        for rows, w in self._blocks(np.result_type(a, x)):
+            np.matmul(a[rows], x.T, out=w)  # row i is X a_i
+            np.conjugate(w, out=w)
+            w *= a[rows]
+            out[rows] = w.sum(axis=1).real
+        return out
 
     def adjoint(self, z):
-        a = self.array
-        w = a * z[:, None]
-        np.conjugate(w, out=w)  # in place: one m x n temporary
-        return a.T @ w  # A^T diag(z) conj(A)
+        # A^T diag(z) conj(A), summed over blocks of rows into one n x n result.
+        a, out = self.array, None
+        for rows, w in self._blocks(self.dtype):
+            np.multiply(a[rows], z[rows, None], out=w)
+            np.conjugate(w, out=w)
+            if out is None:
+                out = a[rows].T @ w
+            else:
+                out += a[rows].T @ w
+        return out
 
     def apply_factored(self, u):
         # (A(U U^H))_i = ||a_i^H U||^2, the row sums of |A conj(U)|^2.
@@ -247,12 +269,16 @@ class MeasurementEnsemble:
 
     def __init__(self, operators, y, noise_norm=0.0):
         y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():  # save would write a NaN that JSON, and so load, refuses
+            raise ValueError("y holds a non-finite number (NaN or Infinity)")
         if not 0 <= noise_norm < np.inf:  # NaN fails too
             raise ValueError("noise_norm must be finite and non-negative")
         if not isinstance(operators, _FORMS):
             a = np.ascontiguousarray(operators)
             if a.ndim not in (2, 3) or a.shape[1] != a.shape[-1] or a.shape[-1] < 1:
                 raise ValueError(f"operators must be (m, n, n) or (m, n) sensing vectors with n >= 1, got {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError("operators hold a non-finite number (NaN or Infinity)")
             operators = RankOne(a) if a.ndim == 2 else DenseStack(_checked(a), *a.shape[:2], np.iscomplexobj(a))
         if y.shape != (operators.m,):
             raise ValueError("y length must match the number of operators")

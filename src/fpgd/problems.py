@@ -283,7 +283,8 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
     x[support] = gaussian(rng, sparsity, True)
     x /= np.linalg.norm(x)
 
-    a = gaussian(rng, (m, n), True) / np.sqrt(2.0)
+    a = gaussian(rng, (m, n), True)
+    a /= np.sqrt(2.0)  # in place: the vectors are the one m x n array
     if lam is None:
         lam = 1.2 * float(np.abs(x).sum())
     return _observed_instance(

@@ -5,8 +5,9 @@ eigensolver is hand-rolled (no LAPACK), the O(2) alignment search is a
 dense angle grid, the l1 projection is a coarse-to-fine grid search
 over the simplex face, the ProjFGD reference loop forms every
 n x n iterate X = U U^H, ``dense_stack`` expands any storage form
-to the full (m, n, n) operator stack, and ``kron_pauli`` builds a Pauli
-string's matrix by a chain of ``np.kron``.
+to the full (m, n, n) operator stack, ``kron_pauli`` builds a Pauli
+string's matrix by a chain of ``np.kron``, and the rank-one references
+draw and multiply whole arrays where the library works in blocks.
 """
 
 import numpy as np
@@ -255,3 +256,45 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
             trace.status = "converged"
             break
     return u, trace
+
+
+def gaussian_two_draws(rng, shape, complex_field):
+    """The draw of ``linalg.gaussian`` as two whole arrays, real parts then imaginary
+    parts; the library writes the same normals into its output a block at a time."""
+    g = rng.standard_normal(shape)
+    return g + 1j * rng.standard_normal(shape) if complex_field else g
+
+
+def rank_one_apply(a, x):
+    """Re(a_i^H X a_i) for every row a_i of ``a``, from one (m, n) product: the
+    unblocked ``RankOne.apply``."""
+    rows = a @ x.T
+    np.conjugate(rows, out=rows)
+    rows *= a
+    return np.real(rows.sum(axis=1))
+
+
+def rank_one_adjoint(a, z):
+    """sum_i z_i a_i a_i^H as A^T diag(z) conj(A), from one (m, n) weighted copy: the
+    unblocked ``RankOne.adjoint``."""
+    w = a * z[:, None]
+    np.conjugate(w, out=w)
+    return a.T @ w
+
+
+def phase_retrieval_reference(n, sparsity, m, noise_norm, seed):
+    """The sensing vectors and observations of ``gen_phase_retrieval(n, sparsity, m,
+    noise_norm, seed=seed)``, drawn with ``gaussian_two_draws`` and observed with
+    ``rank_one_apply``."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(n, size=sparsity, replace=False)
+    x = np.zeros(n, dtype=complex)
+    x[support] = gaussian_two_draws(rng, sparsity, True)
+    x /= np.linalg.norm(x)
+    a = gaussian_two_draws(rng, (m, n), True) / np.sqrt(2.0)
+    truth = x[:, None] @ x[None, :].conj()  # U* U*^H of the factor U* = x, then symmetrized
+    noise = np.zeros(m)
+    if noise_norm:
+        eta = rng.standard_normal(m)
+        noise = eta * (noise_norm / np.linalg.norm(eta))
+    return a, rank_one_apply(a, 0.5 * (truth + truth.conj().T)) + noise

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fpgd import linalg
 from fpgd.linalg import (
     factor_from_psd,
+    gaussian,
     is_hermitian,
     procrustes_align,
     procrustes_dist,
@@ -16,7 +18,7 @@ from fpgd.linalg import (
 )
 
 
-from oracles import grid_l1_project, grid_o2_dist, jacobi_eigh, random_hermitian
+from oracles import gaussian_two_draws, grid_l1_project, grid_o2_dist, jacobi_eigh, random_hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +334,21 @@ def test_factorization_distance_inequality():
         lhs = np.linalg.norm(u @ u.T - v @ v.T) ** 2
         rhs = const * sigma_r**2 * procrustes_dist(u, v) ** 2
         assert lhs - rhs >= -(1e-9 + 1e-9 * max(lhs, rhs))
+
+
+# ---------------------------------------------------------------------------
+# gaussian: the same normals as two whole draws, written a block at a time
+# ---------------------------------------------------------------------------
+
+_DRAW_STEP = linalg._BLOCK_BYTES // 8  # normals per block of one part
+
+
+@pytest.mark.parametrize("shape", [(), 5, (0,), (3, 0), (7, 3), (2, 3, 4), (3 * _DRAW_STEP + 17,), (700, 301)])
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_gaussian_matches_two_whole_draws_bit_for_bit(shape, complex_field):
+    drawn, twin = np.random.default_rng(8), np.random.default_rng(8)
+    got = np.asarray(gaussian(drawn, shape, complex_field))
+    want = np.asarray(gaussian_two_draws(twin, shape, complex_field))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert drawn.standard_normal() == twin.standard_normal()  # the generator's next draw, too

@@ -1,11 +1,13 @@
 """Sensing objective: values, gradients, constants, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense_stack, kron_pauli
+from oracles import dense_stack, kron_pauli, rank_one_adjoint, rank_one_apply
 
+from fpgd import linalg
 from fpgd.diagnostics import fd_factored_gradient, fd_gradient
 from fpgd.linalg import gaussian, trace_inner
 from fpgd.objective import DenseStack, MeasurementEnsemble, Objective, RankOne
@@ -311,6 +313,12 @@ def test_ensemble_validation():
     nonherm[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
         MeasurementEnsemble(nonherm, np.zeros(1), 0.0)
+    for bad in (np.nan, np.inf, -np.inf):  # save would write a bare NaN or Infinity, which load refuses
+        with pytest.raises(ValueError, match=r"^y holds a non-finite number"):
+            MeasurementEnsemble(np.eye(2)[None], [bad], 0.0)
+        for operators in (np.full((1, 2, 2), bad), np.full((1, 2), bad + 0j)):
+            with pytest.raises(ValueError, match=r"^operators hold a non-finite number"):
+                MeasurementEnsemble(operators, np.zeros(1), 0.0)
 
 
 @pytest.mark.parametrize("keys", [(), ("operators", "vectors")], ids=["neither", "both"])
@@ -332,3 +340,62 @@ def test_operator_nbytes_is_the_stored_array():
     assert isinstance(dense.operator, DenseStack)
     assert dense.operator.nbytes == dense.operator.array.nbytes == 20 * 21 * 8  # n(n+1)/2 reals each
     assert dense.operator.dtype == np.dtype(float)
+
+
+# ---------------------------------------------------------------------------
+# RankOne.apply / adjoint: blocks of rows against the unblocked products
+# ---------------------------------------------------------------------------
+
+
+def _rank_one_case(n, complex_field, seed=0):
+    # Sensing vectors over three blocks of rows plus a remainder, a Hermitian X and real weights z.
+    rng = np.random.default_rng(seed)
+    step = linalg._BLOCK_BYTES // ((16 if complex_field else 8) * (n + 1))
+    m = 3 * step + step // 3
+    a = gaussian(rng, (m, n), complex_field)
+    return a, random_hermitian(rng, n, complex_field), rng.standard_normal(m)
+
+
+def _traced_peak(call):
+    call()  # once untraced, so that first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [40, 96])
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_rank_one_blocks_match_unblocked_products(n, complex_field):
+    a, x, z = _rank_one_case(n, complex_field)
+    op = RankOne(a)
+    assert op.apply(x).tobytes() == rank_one_apply(a, x).tobytes()
+    want = rank_one_adjoint(a, z)
+    got = op.adjoint(z)
+    assert got.dtype == want.dtype and got.shape == (n, n)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_rank_one_without_measurements(complex_field):
+    dtype = complex if complex_field else float
+    op = RankOne(np.zeros((0, 3), dtype=dtype))
+    assert op.apply(np.eye(3, dtype=dtype)).shape == (0,)
+    zero = op.adjoint(np.zeros(0))
+    assert zero.dtype == np.dtype(dtype) and zero.shape == (3, 3) and not zero.any()
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_rank_one_products_trace_one_block_beyond_their_result(complex_field):
+    # Besides its result, apply holds one working block of _BLOCK_BYTES; adjoint holds the block, one
+    # block's n x n product, and numpy's ufunc buffer for the weights broadcast over a block
+    # (np.getbufsize() entries).  The unblocked products held an m x n array: 1.00 and 1.13 times the vectors.
+    n = 64
+    a, x, z = _rank_one_case(n, complex_field)
+    op = RankOne(a)
+    assert op.m >= 3 * linalg._BLOCK_BYTES // (a.itemsize * (n + 1))
+    assert _traced_peak(lambda: op.apply(x)) <= linalg._BLOCK_BYTES + 8 * op.m
+    square, buffer = n * n * a.itemsize, np.getbufsize() * a.itemsize
+    assert _traced_peak(lambda: op.adjoint(z)) <= linalg._BLOCK_BYTES + 2 * square + buffer

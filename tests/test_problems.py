@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense_stack, kron_pauli, synthetic_rows_per_operator
+from oracles import dense_stack, kron_pauli, phase_retrieval_reference, synthetic_rows_per_operator
 
 from fpgd import linalg, problems
 from fpgd.linalg import factor_from_psd, project_frobenius_ball, project_l1_ball
@@ -192,6 +193,27 @@ def test_phase_retrieval_keeps_sensing_vectors():
     x = inst.truth_x
     naive = np.array([np.real(np.trace(stack[k] @ x)) for k in range(40)])
     assert np.allclose(ens.y, naive, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("noise_norm", [0.0, 1e-3])
+def test_phase_retrieval_vectors_and_observations_bit_for_bit(noise_norm):
+    # Block-wise draws and products give the bytes of whole-array draws and one (m, n) product.
+    ens = gen_phase_retrieval(n=96, sparsity=6, m=768, noise_norm=noise_norm, seed=5).objective.ensemble
+    a, y = phase_retrieval_reference(96, 6, 768, noise_norm, 5)
+    assert ens.operator.array.tobytes() == a.tobytes()
+    assert ens.y.tobytes() == y.tobytes()
+
+
+def test_phase_retrieval_generation_traces_little_beyond_its_vectors():
+    # One copy of the (m, n) vectors plus working blocks: whole-array draws and products traced 2.2 times them.
+    gen_phase_retrieval(n=8, sparsity=2, m=16, seed=0)  # first-call allocations, untraced
+    tracemalloc.start()
+    try:
+        inst = gen_phase_retrieval(n=64, sparsity=4, m=4096, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * inst.objective.ensemble.operator.nbytes
 
 
 def test_phase_retrieval_rejects_bad_args():
