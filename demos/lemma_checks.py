@@ -37,7 +37,7 @@ for r in (1, 2, 3):
 print("\nprojection scaling factors on a boundary-riding Frobenius run:")
 inst = gen_synthetic(n=24, r=2, m=288, condition_number=2.0, noise_norm=1e-3, seed=5)
 inst = dataclasses.replace(inst, constraint=frobenius_ball(0.8))
-rep = check_xi_bound(inst, iters=300, seed=5)
+rep = check_xi_bound(inst, iters=300)
 fired = rep.context["fired"]
 if fired:
     min_xi = rep.worst_margin + XI_LOWER_BOUND

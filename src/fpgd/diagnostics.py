@@ -249,9 +249,9 @@ def contraction_alpha(instance, constant=PROJFGD_ALPHA_CONSTANT):
     return 1.0 - obj.strong_convexity(instance.rank) * sigma_r_x / (constant * denom)
 
 
-def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
-    """Run a solve from inside the theorem radius and test every
-    in-radius step for Dist_{t+1}^2 <= alpha Dist_t^2 + 1e-9."""
+def check_contraction(instance, algorithm="projfgd", iters=150):
+    """Run a solve from a start drawn with ``instance.seed`` inside the theorem
+    radius and test every in-radius step for Dist_{t+1}^2 <= alpha Dist_t^2 + 1e-9."""
     # Looked up per call, so a wrapped module-level solve function is the one run.
     runs = {
         "projfgd": (projfgd_solve, "adaptive_per_iter", PROJFGD_ALPHA_CONSTANT),
@@ -261,8 +261,7 @@ def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     solve, step_mode, alpha_constant = runs[algorithm]
     radius = contraction_radius(instance)
-    rng = np.random.default_rng(seed)
-    u0 = perturb_within_radius(instance, radius, rng)
+    u0 = perturb_within_radius(instance, radius, np.random.default_rng(instance.seed))
     cfg = SolverConfig(
         rank=instance.rank,
         max_iters=iters,
@@ -275,7 +274,7 @@ def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
 
     report = LemmaReport(
         f"contraction_{algorithm}",
-        context={"alpha": alpha, "radius": radius, "seed": seed, "steps": trace.n_iters},
+        context={"alpha": alpha, "radius": radius, "seed": instance.seed, "steps": trace.n_iters},
     )
     dists = trace.dist_series()
     for d0, d1 in zip(dists[:-1], dists[1:]):
@@ -287,7 +286,7 @@ def check_contraction(instance, algorithm="projfgd", iters=150, seed=0):
     return report
 
 
-def check_xi_bound(instance, iters=400, seed=0):
+def check_xi_bound(instance, iters=400):
     """Frobenius-ball scaling factors: every iteration where the
     projection fires must have xi >= 1/(1 + C) = 128/129 (adaptive step)."""
     if instance.constraint.kind != "frobenius_ball":
@@ -300,7 +299,7 @@ def check_xi_bound(instance, iters=400, seed=0):
         record_truth_dist=False,
     )
     _, trace = projfgd_solve(instance, cfg)
-    report = LemmaReport("xi_bound", context={"seed": seed, "steps": trace.n_iters})
+    report = LemmaReport("xi_bound", context={"seed": instance.seed, "steps": trace.n_iters})
     fired = [x for x in trace.xi if x < 1.0]
     report.context["fired"] = len(fired)
     for x in trace.xi:
@@ -446,10 +445,6 @@ def fd_factored_gradient(obj, u):
     return fd
 
 
-def _rel_gap(approx, exact):
-    return float(np.linalg.norm(approx - exact)) / max(float(np.linalg.norm(exact)), 1e-30)
-
-
 def _suite_gradients(seed):
     rng = np.random.default_rng(seed)
     inst_r = gen_synthetic(n=6, r=2, m=30, condition_number=2.0, noise_norm=1e-3, seed=seed)
@@ -463,9 +458,9 @@ def _suite_gradients(seed):
         for _ in range(10):
             g = gaussian(rng, (n, n), complex_field)
             x = 0.5 * (g + g.conj().T)
-            rep_x.record(1e-6 - _rel_gap(fd_gradient(obj, x), obj.grad(x)), tol=0.0)
+            rep_x.record(1e-6 - relative_error(fd_gradient(obj, x), obj.grad(x)), tol=0.0)
             u = gaussian(rng, (n, inst.rank), complex_field)
-            rel_u = _rel_gap(fd_factored_gradient(obj, u) / 2.0, obj.factored_grad(u))
+            rel_u = relative_error(fd_factored_gradient(obj, u) / 2.0, obj.factored_grad(u))
             rep_u.record(1e-6 - rel_u, tol=0.0)
     return [rep_x, rep_u]
 
@@ -499,8 +494,8 @@ def _suite_contraction(seed):
     reports = []
     for k in range(5):
         inst = _contraction_instance(seed + k)
-        reports.append(check_contraction(inst, "projfgd", seed=seed + k))
-        reports.append(check_contraction(inst, "fgd", seed=seed + k))
+        reports.append(check_contraction(inst, "projfgd"))
+        reports.append(check_contraction(inst, "fgd"))
     return reports
 
 
@@ -510,7 +505,7 @@ def _suite_xi(seed):
         inst = gen_synthetic(n=24, r=2, m=288, condition_number=2.0, noise_norm=1e-3, seed=seed + k)
         # tightened ball: the optimum sits outside, so the projection fires
         inst = replace(inst, constraint=frobenius_ball(0.8))
-        reports.append(check_xi_bound(inst, seed=seed + k))
+        reports.append(check_xi_bound(inst))
     return reports
 
 

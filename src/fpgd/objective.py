@@ -177,8 +177,8 @@ class RankOne:
     """Storage form: the (m, n) sensing vectors a_i of E_i = a_i a_i^H,
     never expanded; every product is O(m n) per column.  ``apply`` and
     ``adjoint`` work through blocks of rows, so that besides the vectors they
-    hold their result, one working block of about _BLOCK_BYTES and, for
-    ``adjoint``, one block's n x n product."""
+    hold their result, one working block of about _BLOCK_BYTES or of n rows,
+    whichever is larger, and, for ``adjoint``, one block's n x n product."""
 
     json_key = "vectors"
 
@@ -204,8 +204,9 @@ class RankOne:
     def _blocks(self, dtype):
         # (rows, w) per block of rows: a slice of near-equal length (BLAS rounds a short block's products
         # differently) and a reused (rows, n) array of ``dtype``, which with one more value per row fits
-        # _BLOCK_BYTES.  At least one block, so m = 0 gives the empty products.
-        most = max(1, _BLOCK_BYTES // (dtype.itemsize * (self.dim + 1)))  # rows a block may hold
+        # _BLOCK_BYTES, or of n rows where the budget fits fewer: at most ceil(m / n) blocks, none larger
+        # than the n x n product it feeds.  At least one block, so m = 0 gives the empty products.
+        most = max(self.dim, _BLOCK_BYTES // (dtype.itemsize * (self.dim + 1)))  # rows a block may hold
         count = max(1, -(-self.m // most))
         edges = [self.m * k // count for k in range(count + 1)]
         work = np.empty((-(-self.m // count), self.dim), dtype)
@@ -268,11 +269,11 @@ class MeasurementEnsemble:
     """
 
     def __init__(self, operators, y, noise_norm=0.0):
+        if not 0 <= noise_norm < np.inf:  # NaN fails too; checked first, as a generator's y carries its noise
+            raise ValueError("noise_norm must be finite and non-negative")
         y = np.asarray(y, dtype=float)
         if not np.isfinite(y).all():  # save would write a NaN that JSON, and so load, refuses
             raise ValueError("y holds a non-finite number (NaN or Infinity)")
-        if not 0 <= noise_norm < np.inf:  # NaN fails too
-            raise ValueError("noise_norm must be finite and non-negative")
         if not isinstance(operators, _FORMS):
             a = np.ascontiguousarray(operators)
             if a.ndim not in (2, 3) or a.shape[1] != a.shape[-1] or a.shape[-1] < 1:
@@ -314,8 +315,8 @@ class MeasurementEnsemble:
         return self.operator.adjoint(self._check_weights(z))
 
     def apply_factored(self, u):
-        """A(U U^H) for an (n, r) factor U; ``apply`` on the Hermitian part of
-        U U^H unless the storage form has its own kernel."""
+        """A(U U^H) for an (n, r) factor U; ``apply(U @ U^H)``, on the product as
+        formed, unless the storage form has its own kernel."""
         u = self._check_factor(u)
         kernel = getattr(self.operator, "apply_factored", None)
         if kernel is not None:

@@ -100,9 +100,9 @@ def l1_ball(lam):
     return ConstraintSet("l1_ball", lam)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
-    """A sensing problem with known ground truth U*.
+    """A sensing problem with known ground truth U*, built once and frozen.
 
     X* (``truth_x``) and the rank are derived from ``truth_factor``, which
     is feasible for ``constraint`` for the faithful generators.
@@ -213,12 +213,10 @@ def _scaled_noise(rng, m, noise_norm):
 
 
 def _observed_instance(operator, truth_factor, rng, noise_norm, constraint, seed, meta):
-    # Shared generator tail: observe X* = U* U*^H through the storage form
-    # ``operator`` and add the noise, drawn from ``rng`` after everything else.
-    ensemble = MeasurementEnsemble(operator, np.zeros(operator.m), noise_norm)
-    instance = ProblemInstance(Objective(ensemble), truth_factor, constraint, seed, meta)
-    ensemble.y = ensemble.apply(instance.truth_x) + _scaled_noise(rng, ensemble.m, noise_norm)
-    return instance
+    # Shared generator tail: observe X* = U* U*^H through the storage form ``operator``, add the noise,
+    # drawn from ``rng`` after everything else, and build the instance once around that y.
+    y = operator.apply(truth_factor @ truth_factor.conj().T) + _scaled_noise(rng, operator.m, noise_norm)
+    return ProblemInstance(Objective(MeasurementEnsemble(operator, y, noise_norm)), truth_factor, constraint, seed, meta)
 
 
 def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):

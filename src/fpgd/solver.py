@@ -266,7 +266,7 @@ def write_trace_csv(trace, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def summary_dict(trace, final_rel_error=None, tol=None, seed=None):
+def summary_dict(trace, final_rel_error, tol, seed):
     final_obj = trace.objective[-1] if trace.objective else trace.initial_objective
     return {
         "status": trace.status,

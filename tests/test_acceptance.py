@@ -82,7 +82,7 @@ def test_criterion_03_projfgd_contraction():
     t0 = time.perf_counter()
     violations = steps = 0
     for seed in range(50):
-        report = check_contraction(_contraction_instance(seed), "projfgd", iters=150, seed=seed)
+        report = check_contraction(_contraction_instance(seed), "projfgd", iters=150)
         violations += report.violations
         steps += report.trials
     elapsed = time.perf_counter() - t0
@@ -99,7 +99,7 @@ def test_criterion_04_fgd_contraction():
     t0 = time.perf_counter()
     violations = steps = 0
     for seed in range(50):
-        report = check_contraction(_contraction_instance(seed), "fgd", iters=150, seed=seed)
+        report = check_contraction(_contraction_instance(seed), "fgd", iters=150)
         violations += report.violations
         steps += report.trials
     elapsed = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def test_criterion_05_xi_lower_bound():
             n=24, r=2, m=6 * 2 * 24, condition_number=2.0, noise_norm=1e-3, seed=seed
         )
         inst = dataclasses.replace(inst, constraint=frobenius_ball(0.8))
-        report = check_xi_bound(inst, iters=300, seed=seed)
+        report = check_xi_bound(inst, iters=300)
         fired += report.context["fired"]
         violations += report.violations
         if report.trials:

@@ -1,5 +1,7 @@
 """Lemma checkers, contraction fitting, error metrics, verify suites."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from fpgd.diagnostics import (
     run_suite,
     contraction_radius,
 )
-from fpgd.problems import gen_synthetic
+from fpgd.problems import frobenius_ball, gen_synthetic
 from fpgd.solver import SolveTrace
 
 
@@ -135,7 +137,7 @@ def test_fit_contraction_measures_ratio():
 
 def test_contraction_bound_projfgd():
     inst = well_conditioned_instance(8, n=24)
-    report = check_contraction(inst, "projfgd", iters=100, seed=8)
+    report = check_contraction(inst, "projfgd", iters=100)
     assert report.violations == 0
     assert report.trials > 0
     alpha = report.context["alpha"]
@@ -144,10 +146,20 @@ def test_contraction_bound_projfgd():
 
 def test_contraction_bound_fgd():
     inst = well_conditioned_instance(9, n=24)
-    report = check_contraction(inst, "fgd", iters=100, seed=9)
+    report = check_contraction(inst, "fgd", iters=100)
     assert report.violations == 0
     # the unconstrained constant is smaller, so the bound is tighter
     assert contraction_alpha(inst, 64.0) < contraction_alpha(inst, 550.0)
+
+
+def test_contraction_and_xi_reports_carry_the_instance_seed():
+    inst = well_conditioned_instance(8)
+    reports = [
+        check_contraction(inst, "projfgd", iters=10),
+        check_contraction(inst, "fgd", iters=10),
+        check_xi_bound(replace(inst, constraint=frobenius_ball(0.8)), iters=10),
+    ]
+    assert [report.context["seed"] for report in reports] == [inst.seed] * 3 == [8] * 3
 
 
 def test_fitted_rate_below_alpha():
@@ -171,7 +183,7 @@ def test_fitted_rate_below_alpha():
 
 def test_xi_bound_on_noisy_frobenius_run():
     inst = well_conditioned_instance(11, n=16, noise=1e-3)
-    report = check_xi_bound(inst, iters=300, seed=11)
+    report = check_xi_bound(inst, iters=300)
     assert report.violations == 0
 
 

@@ -366,7 +366,7 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [40, 96])
+@pytest.mark.parametrize("n", [40, 96, 256])
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 def test_rank_one_blocks_match_unblocked_products(n, complex_field):
     a, x, z = _rank_one_case(n, complex_field)
@@ -376,6 +376,15 @@ def test_rank_one_blocks_match_unblocked_products(n, complex_field):
     got = op.adjoint(z)
     assert got.dtype == want.dtype and got.shape == (n, n)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_rank_one_blocks_hold_at_least_n_rows(complex_field):
+    # Each block writes a full n x n product into adjoint's sum, so a block is never thinner than n rows:
+    # at n = 256, m = 2048 the byte budget alone cut 17 complex (9 real) blocks.
+    n, m = 256, 2048
+    op = RankOne(np.zeros((m, n), dtype=complex if complex_field else float))
+    assert len(list(op._blocks(op.dtype))) <= -(-m // n)
 
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])

@@ -428,6 +428,53 @@ def test_instance_derives_truth_x_and_rank_from_the_factor():
     assert inst.objective.value(inst.truth_x) == 0.0
 
 
+def test_instance_is_frozen():
+    inst = gen_synthetic(n=6, r=2, m=20, condition_number=2.0, noise_norm=0.0, seed=13)
+    for f in dataclasses.fields(ProblemInstance):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, f.name, getattr(inst, f.name))
+
+
+OBSERVED_CASES = {  # the benchmark's and the golden files' sizes
+    "qst_q7": lambda: gen_qst(q=7, r=1, c_sam=3.0, noise_norm=1e-3, seed=5),
+    "qst_q5_r2": lambda: gen_qst(q=5, r=2, c_sam=3.0, noise_norm=1e-3, seed=1),
+    "qst_q3": lambda: gen_qst(q=3, r=1, c_sam=3.0, noise_norm=1e-3, seed=0),
+    "qst_q2_noiseless": lambda: gen_qst(q=2, r=1, c_sam=2.0, noise_norm=0.0, seed=3),
+    "phase_retrieval_n96": lambda: gen_phase_retrieval(n=96, sparsity=6, m=768, noise_norm=0.0, seed=5),
+    "phase_retrieval_n16": lambda: gen_phase_retrieval(n=16, sparsity=2, m=96, noise_norm=1e-3, seed=0),
+    "synthetic_n24": lambda: gen_synthetic(n=24, r=2, m=288, condition_number=2.0, noise_norm=1e-3, seed=3),
+    "synthetic_n8": lambda: gen_synthetic(n=8, r=2, m=96, condition_number=2.0, noise_norm=1e-3, seed=0),
+    "synthetic_n4_noiseless": lambda: gen_synthetic(n=4, r=1, m=24, condition_number=2.0, noise_norm=0.0, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED_CASES))
+def test_generated_y_is_the_ensemble_applied_to_the_truth(name, monkeypatch):
+    # y is observed from U* U*^H through the storage form before the ensemble exists: the bytes of
+    # A(X*), X* symmetrized, plus the noise drawn last.
+    drawn, scaled_noise = [], problems._scaled_noise
+    monkeypatch.setattr(problems, "_scaled_noise", lambda *args: drawn.append(scaled_noise(*args)) or drawn[-1])
+    inst = OBSERVED_CASES[name]()
+    ens = inst.objective.ensemble
+    (noise,) = drawn
+    assert ens.y.tobytes() == (ens.apply(inst.truth_x) + noise).tobytes()
+
+
+def test_phase_retrieval_generation_forms_no_symmetrized_truth():
+    # X* = U* U*^H is formed once, as the product, to observe y, so generation holds the vectors, X*, apply's
+    # working block of n rows and a few m-vectors: 1.25 times the vectors at this size.  Symmetrizing X* first
+    # held more n x n arrays: 1.39 times.
+    n, m = 256, 2048
+    gen_phase_retrieval(n=8, sparsity=2, m=16, seed=0)  # first-call allocations, untraced
+    tracemalloc.start()
+    try:
+        inst = gen_phase_retrieval(n=n, sparsity=8, m=m, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inst.objective.ensemble.operator.nbytes + 2 * 16 * n * n + 4 * 8 * m
+
+
 def test_companion_has_no_truth_and_old_companions_still_load(tmp_path):
     inst = gen_qst(q=3, r=2, c_sam=1.5, noise_norm=1e-3, seed=13)
     ens_path = tmp_path / "ensemble.json"
