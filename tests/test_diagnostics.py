@@ -159,7 +159,7 @@ def test_contraction_and_xi_reports_carry_the_instance_seed():
         check_contraction(inst, "fgd", iters=10),
         check_xi_bound(replace(inst, constraint=frobenius_ball(0.8)), iters=10),
     ]
-    assert [report.context["seed"] for report in reports] == [inst.seed] * 3 == [8] * 3
+    assert [report.context["seed"] for report in reports] == [inst.seed] * 3
 
 
 def test_fitted_rate_below_alpha():

@@ -453,7 +453,12 @@ def test_generated_y_is_the_ensemble_applied_to_the_truth(name, monkeypatch):
     # y is observed from U* U*^H through the storage form before the ensemble exists: the bytes of
     # A(X*), X* symmetrized, plus the noise drawn last.
     drawn, scaled_noise = [], problems._scaled_noise
-    monkeypatch.setattr(problems, "_scaled_noise", lambda *args: drawn.append(scaled_noise(*args)) or drawn[-1])
+
+    def recorded_noise(*args):
+        drawn.append(scaled_noise(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(problems, "_scaled_noise", recorded_noise)
     inst = OBSERVED_CASES[name]()
     ens = inst.objective.ensemble
     (noise,) = drawn
