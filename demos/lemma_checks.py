@@ -31,7 +31,7 @@ print(f"  {rep.trials} trials, {rep.violations} violations, "
 
 print("\nfactorization-distance inequality, 1000 random factor pairs per rank:")
 for r in (1, 2, 3):
-    rep = check_tu_inequality(trials=1000, n=10, r=r, seed=10 + r)
+    rep = check_tu_inequality(r=r, seed=10 + r)
     print(f"  r = {r}: {rep.violations} violations, worst margin {rep.worst_margin:.3e}")
 
 print("\nprojection scaling factors on a boundary-riding Frobenius run:")

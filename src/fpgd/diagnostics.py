@@ -60,6 +60,8 @@ FGD_ALPHA_CONSTANT = 64.0
 XI_LOWER_BOUND = 1.0 / (1.0 + PROJFGD_STEP_CONSTANT)  # 128/129
 _FD_STEP = 1e-5  # the central-difference step of fd_gradient and fd_factored_gradient
 _PERTURB_FRACTION = 0.9  # perturb_within_radius: the share of the radius a start lies at
+TU_TRIALS = 1000  # check_tu_inequality: random factor pairs per check
+TU_DIM = 10  # check_tu_inequality: rows n of each factor
 
 
 @dataclass
@@ -165,7 +167,7 @@ def perturb_within_radius(instance, radius, rng):
     return u0
 
 
-def check_descent_lemma(instance, trials=200, seed=0, radius=None):
+def check_descent_lemma(instance, trials, seed):
     """Sample random feasible points around the truth inside the theorem
     radius and evaluate the descent inequality.
 
@@ -173,8 +175,7 @@ def check_descent_lemma(instance, trials=200, seed=0, radius=None):
     counted; the lemma asserts nothing there.
     """
     obj = instance.objective
-    if radius is None:
-        radius = contraction_radius(instance)
+    radius = contraction_radius(instance)
     center = instance.truth_factor
     rng = np.random.default_rng(seed)
     report = LemmaReport(
@@ -194,14 +195,15 @@ def check_descent_lemma(instance, trials=200, seed=0, radius=None):
     return report
 
 
-def check_tu_inequality(trials=1000, n=10, r=3, seed=0, complex_field=False):
+def check_tu_inequality(r, seed, complex_field=False):
     """Factorization-distance inequality
     ||U U^H - V V^H||_F^2 >= 2 (sqrt(2) - 1) sigma_r(U)^2 Dist(U, V)^2
-    over random factor pairs."""
+    over TU_TRIALS random pairs of TU_DIM x r factors."""
     rng = np.random.default_rng(seed)
     const = 2.0 * (np.sqrt(2.0) - 1.0)
+    n = TU_DIM
     report = LemmaReport("tu_inequality", context={"n": n, "r": r, "seed": seed})
-    for _ in range(trials):
+    for _ in range(TU_TRIALS):
         u = rng.standard_normal((n, r))
         v = rng.standard_normal((n, r))
         if complex_field:
@@ -240,7 +242,7 @@ def fit_contraction(trace, radius=None):
     return float(worst)
 
 
-def contraction_alpha(instance, constant=PROJFGD_ALPHA_CONSTANT):
+def contraction_alpha(instance, constant):
     """alpha = 1 - mu sigma_r(X*) / (constant (L ||X*||_2 + ||grad f(X*)||_2));
     constant 550 for the projected solver, 64 for the unconstrained one."""
     obj = instance.objective
@@ -249,7 +251,7 @@ def contraction_alpha(instance, constant=PROJFGD_ALPHA_CONSTANT):
     return 1.0 - obj.strong_convexity(instance.rank) * sigma_r_x / (constant * denom)
 
 
-def check_contraction(instance, algorithm="projfgd", iters=150):
+def check_contraction(instance, algorithm, iters=150):
     """Run a solve from a start drawn with ``instance.seed`` inside the theorem
     radius and test every in-radius step for Dist_{t+1}^2 <= alpha Dist_t^2 + 1e-9."""
     # Looked up per call, so a wrapped module-level solve function is the one run.
@@ -466,7 +468,7 @@ def _suite_gradients(seed):
 
 
 def _suite_tu(seed):
-    return [check_tu_inequality(trials=1000, n=10, r=r, seed=seed + r) for r in (1, 2, 3)]
+    return [check_tu_inequality(r, seed + r) for r in (1, 2, 3)]
 
 
 def _descent_instance(seed, noise=0.0):
@@ -538,7 +540,7 @@ _SUITES = {
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
-def run_suite(name, seed=0):
+def run_suite(name, seed):
     """Run a named verification suite; returns a JSON-ready report with
     the total violation count over in-hypothesis (non-advisory) trials."""
     if name not in _SUITES:

@@ -184,13 +184,15 @@ def project_l1_ball(v, lam):
 
     Sorted-threshold algorithm on the entry moduli; complex entries keep
     their phases (the modulus pattern is projected, a standard complex
-    extension).
+    extension).  Input with a NaN or infinite entry projects to all NaN.
     """
     if not lam > 0:  # NaN fails too
         raise ValueError("lam must be positive")
     v = np.asarray(v)
     mags = np.abs(v).ravel()
     total = float(mags.sum())
+    if not np.isfinite(total):
+        return np.full(v.shape, np.nan, dtype=v.dtype)
     if total <= lam:
         return v
     # Duchi et al. soft-threshold level for the simplex {sum = lam}.
@@ -199,8 +201,7 @@ def project_l1_ball(v, lam):
     k = np.arange(1, s.size + 1)
     rho = int(np.max(np.nonzero(s - (cumulative - lam) / k > 0)[0])) + 1
     theta = (cumulative[rho - 1] - lam) / rho
-    shrunk = np.maximum(mags - theta, 0.0).reshape(v.shape)
-    if np.iscomplexobj(v):
-        phases = np.where(np.abs(v) > 0, v / np.where(np.abs(v) > 0, np.abs(v), 1.0), 0.0)
-        return phases * shrunk
-    return np.sign(v) * shrunk
+    mag = mags.reshape(v.shape)
+    # v / |v| is the sign of a real entry and the phase of a complex one; 0 where v is 0
+    phase = np.divide(v, mag, out=np.zeros(v.shape, np.result_type(v, np.float64)), where=mag > 0)
+    return phase * np.maximum(mag - theta, 0.0)

@@ -45,8 +45,7 @@ __all__ = [
 PROJFGD_STEP_CONSTANT = 1.0 / 128.0
 FGD_STEP_CONSTANT = 1.0 / 16.0
 DEFAULT_TOL = 5e-6
-# One trace row per iteration: the CSV header, the callback's keys, and (with
-# "iter" held as ``iters``) the SolveTrace series, in this order.
+# The CSV header: "iter", the 1-based row index, then the SolveTrace series in order.
 TRACE_COLUMNS = ("iter", "objective", "rel_change", "xi", "dist", "grad_norm")
 
 
@@ -72,17 +71,16 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration solve record.
+    """Per-iteration solve record, one entry per iteration in each series.
 
-    Row t holds the state after update t: objective f(X_t), the stopping
-    quantity ||X_t - X_{t-1}||_2 / ||X_t||_2, the projection scaling
-    xi_t (1 when the raw iterate was already feasible), optionally the
-    factor distance to the ground truth, and the factored gradient norm
-    ||grad f(X_{t-1}) U_{t-1}||_F that produced the step.
+    Entry t - 1 holds the state after update t: objective f(X_t), the
+    stopping quantity ||X_t - X_{t-1}||_2 / ||X_t||_2, the projection
+    scaling xi_t (1 when the raw iterate was already feasible), optionally
+    the factor distance to the ground truth, and the factored gradient
+    norm ||grad f(X_{t-1}) U_{t-1}||_F that produced the step.
     """
 
     status: str = "max_iters"  # until a stop rule in the loop sets another
-    iters: list = field(default_factory=list)
     objective: list = field(default_factory=list)
     rel_change: list = field(default_factory=list)
     xi: list = field(default_factory=list)
@@ -95,13 +93,7 @@ class SolveTrace:
 
     @property
     def n_iters(self):
-        return len(self.iters)
-
-    def append(self, row):
-        """Record one iteration's row, a dict keyed by TRACE_COLUMNS."""
-        self.iters.append(row["iter"])
-        for column in TRACE_COLUMNS[1:]:
-            getattr(self, column).append(row[column])
+        return len(self.objective)
 
     def dist_series(self):
         """Distances including the initial point, for contraction fits."""
@@ -153,7 +145,7 @@ def _adaptive_step(ens, l_hat, u, z, constant):
     return (constant / denom if denom != 0.0 else None), g[:, :r]
 
 
-def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
+def _solve(instance, cfg, constraint, default_constant, u0=None):
     obj = instance.objective
     ens = obj.ensemble
     constant = cfg.step_size_constant if cfg.step_size_constant is not None else default_constant
@@ -187,7 +179,7 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
             return u, trace
         eta = trace.step_eta = constant / denom
 
-    for t in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         z = 2.0 * res
         if cfg.step_mode == "adaptive_per_iter":
             eta, gu = _adaptive_step(ens, l_hat, u, z, constant)
@@ -210,10 +202,11 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
             else float("nan")
         )
 
-        row = dict(zip(TRACE_COLUMNS, (t, f_val, rel_change, xi, dist, grad_norm)))
-        trace.append(row)
-        if callback is not None:
-            callback(row)
+        trace.objective.append(f_val)
+        trace.rel_change.append(rel_change)
+        trace.xi.append(xi)
+        trace.dist.append(dist)
+        trace.grad_norm.append(grad_norm)
 
         u = u_next
         if not np.isfinite(f_val) or f_val > blowup:
@@ -227,20 +220,19 @@ def _solve(instance, cfg, constraint, default_constant, u0=None, callback=None):
     return u, trace
 
 
-def projfgd_solve(instance, cfg, u0=None, callback=None):
+def projfgd_solve(instance, cfg, u0=None):
     """Projected factored gradient descent on ``instance``.
 
     Returns (factor, trace).  ``u0`` overrides the default initialization
-    (it is projected onto the constraint set first); ``callback`` receives
-    one dict per iteration as the trace is produced.
+    (it is projected onto the constraint set first).
     """
-    return _solve(instance, cfg, instance.constraint, PROJFGD_STEP_CONSTANT, u0=u0, callback=callback)
+    return _solve(instance, cfg, instance.constraint, PROJFGD_STEP_CONSTANT, u0=u0)
 
 
-def fgd_solve(instance, cfg, u0=None, callback=None):
+def fgd_solve(instance, cfg, u0=None):
     """Unconstrained factored gradient descent baseline (identity
     projection, step constant 1/16)."""
-    return _solve(instance, cfg, unconstrained(), FGD_STEP_CONSTANT, u0=u0, callback=callback)
+    return _solve(instance, cfg, unconstrained(), FGD_STEP_CONSTANT, u0=u0)
 
 
 def _fmt(x):
@@ -249,7 +241,7 @@ def _fmt(x):
 
 
 def write_trace_csv(trace, path):
-    """CSV with the TRACE_COLUMNS header and one line per iteration.
+    """CSV with the TRACE_COLUMNS header and one line per iteration, numbered from 1.
 
     The dist column is empty when the solve did not record distances
     to the ground truth.
@@ -258,7 +250,7 @@ def write_trace_csv(trace, path):
     for k in range(trace.n_iters):
         d = trace.dist[k]
         fields = [
-            str(trace.iters[k]), _fmt(trace.objective[k]), _fmt(trace.rel_change[k]),
+            str(k + 1), _fmt(trace.objective[k]), _fmt(trace.rel_change[k]),
             _fmt(trace.xi[k]), "" if np.isnan(d) else _fmt(d), _fmt(trace.grad_norm[k]),
         ]
         lines.append(",".join(fields))

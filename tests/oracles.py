@@ -129,6 +129,27 @@ def gram_rel_change_reference(u1, u0):
     return 0.0 if diff == 0.0 else float("inf")
 
 
+def project_l1_ball_reference(v, lam):
+    """The l1-ball projection as ``linalg.project_l1_ball`` computed it before
+    its single phase expression: ``np.sign`` for a real input, three
+    ``np.abs`` passes for a complex one.  Finite input must give the same
+    array, byte for byte."""
+    v = np.asarray(v)
+    mags = np.abs(v).ravel()
+    if float(mags.sum()) <= lam:
+        return v
+    s = np.sort(mags)[::-1]
+    cumulative = np.cumsum(s)
+    k = np.arange(1, s.size + 1)
+    rho = int(np.max(np.nonzero(s - (cumulative - lam) / k > 0)[0])) + 1
+    theta = (cumulative[rho - 1] - lam) / rho
+    shrunk = np.maximum(mags - theta, 0.0).reshape(v.shape)
+    if np.iscomplexobj(v):
+        phases = np.where(np.abs(v) > 0, v / np.where(np.abs(v) > 0, np.abs(v), 1.0), 0.0)
+        return phases * shrunk
+    return np.sign(v) * shrunk
+
+
 def synthetic_rows_per_operator(n, m, seed):
     """The packed rows ``gen_synthetic(n, ., m, seed=seed)`` must hold, built one
     operator at a time: an (n, n) draw, (G + G^T) / (2 sqrt(m)), then its
@@ -214,7 +235,7 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
         eta = trace.step_eta = constant / denom
 
     trace.status = "max_iters"
-    for t in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         grad_x = ens.adjoint(2.0 * res)
         if cfg.step_mode == "adaptive_per_iter":
             q = scipy.linalg.orth(u)
@@ -240,7 +261,6 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
                 rel_change = 0.0 if diff_norm == 0.0 else float("inf")
             else:
                 rel_change = diff_norm / denom_norm
-        trace.iters.append(t)
         trace.objective.append(f_val)
         trace.rel_change.append(rel_change)
         trace.xi.append(xi)

@@ -165,7 +165,7 @@ def test_criterion_06_descent_lemma():
 def test_criterion_07_tu_inequality():
     total = violations = 0
     for r in (1, 2, 3):
-        report = check_tu_inequality(trials=1000, n=10, r=r, seed=400 + r)
+        report = check_tu_inequality(r=r, seed=400 + r)
         total += report.trials
         violations += report.violations
     ok = violations == 0 and total == 3000

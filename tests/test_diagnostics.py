@@ -68,16 +68,6 @@ def test_descent_lemma_in_radius_no_violations():
     assert report.skipped == 0
 
 
-def test_descent_lemma_far_trials_reported_not_asserted():
-    # far outside the radius violations are permitted; the checker only
-    # reports them
-    inst = well_conditioned_instance(4)
-    radius = contraction_radius(inst)
-    report = check_descent_lemma(inst, trials=50, seed=5, radius=100.0 * radius)
-    assert report.trials + report.skipped == 50
-    assert report.violations >= 0  # no assertion on the count
-
-
 # ---------------------------------------------------------------------------
 # tu inequality
 # ---------------------------------------------------------------------------
@@ -101,13 +91,15 @@ def test_tu_trivial_cases():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_tu_inequality_random_pairs(r):
-    report = check_tu_inequality(trials=1000, n=10, r=r, seed=7 + r)
+    report = check_tu_inequality(r=r, seed=7 + r)
     assert report.trials == 1000
+    assert report.context["n"] == 10
     assert report.violations == 0
 
 
 def test_tu_inequality_complex():
-    report = check_tu_inequality(trials=200, n=8, r=2, seed=11, complex_field=True)
+    report = check_tu_inequality(r=2, seed=11, complex_field=True)
+    assert report.trials == 1000
     assert report.violations == 0
 
 
@@ -219,7 +211,7 @@ def test_init_bound_requires_full_rank():
 
 def test_run_suite_unknown_name():
     with pytest.raises(KeyError):
-        run_suite("nonsense")
+        run_suite("nonsense", seed=0)
 
 
 def test_run_suite_tu_clean():

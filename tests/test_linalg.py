@@ -297,6 +297,16 @@ def test_l1_variational_inequality():
         assert trace_inner(out - feasible, v - out) >= -1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_l1_nonfinite_input_projects_to_nan(bad, dtype):
+    v = np.array([[bad], [1.0]], dtype=dtype)
+    out = project_l1_ball(v, 0.5)
+    assert out.shape == v.shape
+    assert out.dtype == v.dtype
+    assert np.isnan(out).all()
+
+
 def test_l1_rejects_bad_lambda():
     with pytest.raises(ValueError):
         project_l1_ball(np.ones(3), -1.0)

@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_spectral_norm, dense_stack, gram_rel_change_reference
+from oracles import (
+    dense_spectral_norm,
+    dense_stack,
+    gram_rel_change_reference,
+    project_l1_ball_reference,
+)
 
 from fpgd.linalg import (
     gram_rel_change,
@@ -300,6 +305,25 @@ def test_ball_projections_satisfy_the_variational_inequality(spec):
         candidates += [_inside_ball(rng, (n, r), complex_field, lam, norm) for _ in range(10)]
         for u in candidates:
             assert trace_inner(p - u, v - p) >= -1e-10 * scale
+
+
+@PROPERTY_SETTINGS
+@given(projection_cases, st.sampled_from(["random", "zeros", "signed_zeros", "tied_moduli"]))
+def test_l1_projection_equals_its_reference_byte_for_byte(spec, kind):
+    # One phase expression v / |v| (0 where v is 0) gives the sign-based real
+    # and abs-based complex projections exactly: values, signed zeros and dtype.
+    complex_field, n, r, lam, seed = spec
+    rng = np.random.default_rng(seed)
+    v = 2.0 * lam * _draw(rng, (n, r), complex_field)
+    if kind in ("zeros", "signed_zeros"):
+        v.flat[::2] = 0.0
+    if kind == "signed_zeros":
+        v.flat[1::3] = -0.0
+    elif kind == "tied_moduli":
+        v.flat[1::2] = -v.flat[0]
+    out, ref = project_l1_ball(v, lam), project_l1_ball_reference(v, lam)
+    assert out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
 
 
 @PROPERTY_SETTINGS

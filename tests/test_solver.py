@@ -22,7 +22,6 @@ from fpgd.problems import (
 )
 from fpgd.solver import (
     PROJFGD_STEP_CONSTANT,
-    TRACE_COLUMNS,
     SolverConfig,
     _adaptive_step,
     _step_denominator,
@@ -247,6 +246,19 @@ def test_divergence_status_on_nonfinite_start():
     with np.errstate(over="ignore"):
         _, trace = fgd_solve(inst, cfg, u0=np.array([[1e200]]))
     assert trace.status == "diverged"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_start_on_an_l1_instance_diverges(bad):
+    # The l1 projection maps a NaN or infinite factor to all NaN (xi = nan), so
+    # the solve reports "diverged" after 0 iterations, as on a Frobenius ball.
+    inst = gen_phase_retrieval(n=16, sparsity=2, m=96, noise_norm=0.0, seed=2)
+    assert inst.constraint.kind == "l1_ball"
+    u0 = np.full((16, 1), bad)
+    assert np.isnan(inst.constraint.project(u0)[1])
+    _, trace = projfgd_solve(inst, SolverConfig(rank=1), u0=u0)
+    assert trace.status == "diverged"
+    assert trace.n_iters == 0
 
 
 @pytest.mark.parametrize("solve", [projfgd_solve, fgd_solve])
@@ -497,9 +509,13 @@ def test_trace_csv_format_and_determinism(tmp_path):
     lines = data1.decode().strip().split("\n")
     assert lines[0] == "iter,objective,rel_change,xi,dist,grad_norm"
     assert len(lines) == trace.n_iters + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == trace.objective[0]  # repr round-trips exactly
+    # The iter column is the 1-based row index; every other field is the
+    # in-memory series value, which repr round-trips exactly.
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, trace.n_iters + 1))
+    series = (trace.objective, trace.rel_change, trace.xi, trace.dist, trace.grad_norm)
+    for k, values in enumerate(series, start=1):
+        assert [float(row[k]) for row in rows] == values
 
 
 def test_trace_csv_empty_dist_column(tmp_path):
@@ -525,18 +541,3 @@ def test_summary_json(tmp_path):
     }
     assert doc["status"] == "converged"
     assert doc["tol"] == 5e-6
-
-
-def test_trace_callback_stream():
-    inst = gen_synthetic(n=6, r=1, m=30, condition_number=1.0, noise_norm=0.0, seed=12)
-    cfg = SolverConfig(rank=1, max_iters=50, tol=5e-6)
-    seen = []
-    _, trace = projfgd_solve(inst, cfg, callback=seen.append)
-    assert len(seen) == trace.n_iters
-    assert [rec["iter"] for rec in seen] == trace.iters
-    assert [rec["objective"] for rec in seen] == trace.objective
-    # Every callback row is the trace row, on all six columns (nan dist included).
-    assert all(tuple(rec) == TRACE_COLUMNS for rec in seen)
-    series = (trace.iters, trace.objective, trace.rel_change, trace.xi, trace.dist, trace.grad_norm)
-    for column, values in zip(TRACE_COLUMNS, series, strict=True):
-        np.testing.assert_array_equal([rec[column] for rec in seen], values)
