@@ -11,7 +11,6 @@ names or lies under a file (refused before any work), or unknown suite.  Logging
 
 import argparse
 import concurrent.futures
-import dataclasses
 import itertools
 import json
 import logging
@@ -154,14 +153,14 @@ def build_instance(problem, seed):
     return generator(**{"noise_norm" if key == "noise" else key: v for key, v in values.items()}, seed=seed)
 
 
-def build_solver_config(solver, rank):
+def build_solver_config(solver):
     """The solver block as a ``SolverConfig`` and an algorithm name; only the
     keys the block sets are passed, so the rest keep ``SolverConfig``'s defaults."""
     keys = {"max_iters": _int, "tol": _float, "step_size_constant": _optional_float,
             "step_mode": None, "record_truth_dist": _bool}
     given = {key: _require(solver, key, "solver", convert) for key, convert in keys.items() if key in solver}
     try:
-        cfg = SolverConfig(rank=rank, **given)
+        cfg = SolverConfig(**given)
     except ValueError as exc:
         raise ConfigError(f"invalid solver block: {exc}") from exc
     algorithm = solver.get("algorithm", "projfgd")
@@ -177,7 +176,7 @@ def _status_exit(status):
 def _solve_and_score(instance, cfg, algorithm):
     """Solve ``instance`` at its own rank: the trace and the relative error of U U^H."""
     solve = projfgd_solve if algorithm == "projfgd" else fgd_solve
-    u, trace = solve(instance, dataclasses.replace(cfg, rank=instance.rank))
+    u, trace = solve(instance, cfg)
     return trace, relative_error(u @ u.conj().T, instance.truth_x)
 
 
@@ -190,7 +189,7 @@ def cmd_solve(args):
     doc = load_config(args.config)
     seed, out = _seed_and_out(args, doc)
     # A bad solver block fails before the instance is generated.
-    cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}), rank=1)
+    cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}))
     instance = build_instance(_require(doc, "problem", "config", _object), seed)
     log.info("solving %s instance (n=%d, m=%d) with %s",
              instance.meta.get("kind", "file"), instance.dim,
@@ -238,7 +237,7 @@ def cmd_sweep(args):
         fixed = dict(fixed, noise=grid["noise"])
     axes = {key: _require(grid, key, "sweep", _list) for key in keys if key in grid and key not in fixed}
     # Checked once: a bad block fails before any cell runs.
-    cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}), rank=1)
+    cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}))
 
     grid_order = itertools.product(*axes.values(), range(n_seeds))
     cells = [  # every cell parsed before any runs

@@ -265,7 +265,6 @@ def check_contraction(instance, algorithm, iters=150):
     radius = contraction_radius(instance)
     u0 = perturb_within_radius(instance, radius, np.random.default_rng(instance.seed))
     cfg = SolverConfig(
-        rank=instance.rank,
         max_iters=iters,
         tol=1e-14,
         step_mode=step_mode,
@@ -294,7 +293,6 @@ def check_xi_bound(instance, iters=400):
     if instance.constraint.kind != "frobenius_ball":
         raise ValueError("xi bound is asserted only for the Frobenius-ball constraint")
     cfg = SolverConfig(
-        rank=instance.rank,
         max_iters=iters,
         tol=1e-12,
         step_mode="adaptive_per_iter",

@@ -51,7 +51,7 @@ TRACE_COLUMNS = ("iter", "objective", "rel_change", "xi", "dist", "grad_norm")
 
 @dataclass
 class SolverConfig:
-    rank: int
+    rank: int | None = None  # None -> the instance's rank
     max_iters: int = 10000
     tol: float = DEFAULT_TOL
     step_size_constant: float | None = None  # None -> 1/128 ProjFGD, 1/16 FGD
@@ -59,10 +59,12 @@ class SolverConfig:
     record_truth_dist: bool = False
 
     def __post_init__(self):
+        if self.rank is not None and not (isinstance(self.rank, (int, np.integer)) and self.rank >= 1):
+            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if not self.tol > 0:  # NaN fails too
             raise ValueError("tol must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
         if self.step_size_constant is not None and not 0 < self.step_size_constant <= 1:
             raise ValueError("step size constant must lie in (0, 1]")
         if self.step_mode not in ("fixed_from_init", "adaptive_per_iter"):
@@ -145,16 +147,19 @@ def _adaptive_step(ens, l_hat, u, z, constant):
     return (constant / denom if denom != 0.0 else None), g[:, :r]
 
 
-def _solve(instance, cfg, constraint, default_constant, u0=None):
+def _solve(instance, cfg, constraint, default_constant, u0):
     obj = instance.objective
     ens = obj.ensemble
     constant = cfg.step_size_constant if cfg.step_size_constant is not None else default_constant
     l_hat = obj.smoothness()
+    rank = cfg.rank if cfg.rank is not None else instance.rank
     t0 = time.perf_counter()
 
     if u0 is None:
-        f, u = init_point(obj, constraint, cfg.rank)
+        f, u = init_point(obj, constraint, rank)
     else:
+        if np.shape(u0) != (obj.dim, rank):
+            raise ValueError(f"u0 must be {(obj.dim, rank)}, got {np.shape(u0)}")
         u, _ = constraint.project(np.asarray(u0))
         f = u
 
@@ -170,7 +175,6 @@ def _solve(instance, cfg, constraint, default_constant, u0=None):
         trace.initial_dist = procrustes_dist(u, instance.truth_factor)
     blowup = 1e6 * (f0 + 1e-12 * (1.0 + float(ens.y @ ens.y)))
 
-    eta = None
     if cfg.step_mode == "fixed_from_init":
         denom = _step_denominator(obj, f @ f.conj().T)
         if denom == 0.0:
@@ -223,8 +227,8 @@ def _solve(instance, cfg, constraint, default_constant, u0=None):
 def projfgd_solve(instance, cfg, u0=None):
     """Projected factored gradient descent on ``instance``.
 
-    Returns (factor, trace).  ``u0`` overrides the default initialization
-    (it is projected onto the constraint set first).
+    Returns (factor, trace).  ``u0``, an (n, rank) factor, overrides the default
+    initialization (it is projected onto the constraint set first).
     """
     return _solve(instance, cfg, instance.constraint, PROJFGD_STEP_CONSTANT, u0=u0)
 

@@ -59,8 +59,10 @@ def test_malformed_config_exits_64(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"step_mode": "bogus"}, {"tol": 0.0}, {"step_size_constant": 1.5}, {"tol": float("nan")}],
-    ids=["step_mode", "tol", "step_size_constant", "tol_nan"],
+    "bad",
+    [{"step_mode": "bogus"}, {"tol": 0.0}, {"step_size_constant": 1.5}, {"tol": float("nan")},
+     {"algorithm": "nope"}],
+    ids=["step_mode", "tol", "step_size_constant", "tol_nan", "algorithm"],
 )
 def test_invalid_solver_block_exits_64(tmp_path, bad):
     doc = dict(QST_SOLVE_CONFIG, solver=dict(QST_SOLVE_CONFIG["solver"], **bad))
@@ -71,7 +73,7 @@ def test_invalid_solver_block_exits_64(tmp_path, bad):
 
 
 def test_empty_solver_block_is_the_library_default():
-    assert build_solver_config({}, rank=1) == (SolverConfig(rank=1), "projfgd")
+    assert build_solver_config({}) == (SolverConfig(), "projfgd")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fpgd.diagnostics import (
+    LemmaReport,
     check_contraction,
     check_descent_lemma,
     check_init_bound,
@@ -152,6 +153,18 @@ def test_contraction_and_xi_reports_carry_the_instance_seed():
         check_xi_bound(replace(inst, constraint=frobenius_ball(0.8)), iters=10),
     ]
     assert [report.context["seed"] for report in reports] == [inst.seed] * 3
+
+
+def test_check_contraction_refuses_an_unknown_algorithm():
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+        check_contraction(well_conditioned_instance(8), "nope")
+
+
+def test_lemma_report_counts_a_margin_beyond_its_tolerance():
+    report = LemmaReport("margins")
+    report.record(-1.0, tol=0.0)
+    report.record(-1e-12, 1.0)  # inside the default 1e-9 + 1e-9 * scale
+    assert (report.trials, report.violations, report.worst_margin) == (2, 1, -1.0)
 
 
 def test_fitted_rate_below_alpha():

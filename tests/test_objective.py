@@ -154,6 +154,16 @@ def test_smoothness_of_qst_is_twice_the_squared_gain(q):
     assert inst.objective.smoothness() == pytest.approx(2.0 * n**3 / m, rel=1e-6)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_qst_ensemble_is_a_scaled_isometry(q):
+    # A(A*(z)) = (n^3 / m) z: the sampled Pauli codes are distinct and tr(P_s P_t) = n delta_st,
+    # so this also checks that the sampler draws no code twice.  No dense matrix is formed.
+    ens = gen_qst(q=q, r=1, c_sam=2.0, noise_norm=0.0, seed=q).objective.ensemble
+    gain = ens.dim**3 / ens.m
+    z = np.random.default_rng(q).standard_normal(ens.m)
+    assert np.max(np.abs(ens.apply(ens.adjoint(z)) - gain * z)) <= 1e-14 * gain * np.max(np.abs(z))
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 def test_smoothness_matches_dense_gram_oracle(complex_field):
     rng = np.random.default_rng(8)
@@ -319,6 +329,19 @@ def test_ensemble_validation():
         for operators in (np.full((1, 2, 2), bad), np.full((1, 2), bad + 0j)):
             with pytest.raises(ValueError, match=r"^operators hold a non-finite number"):
                 MeasurementEnsemble(operators, np.zeros(1), 0.0)
+
+
+@pytest.mark.parametrize("rank_one", [False, True], ids=["dense", "rank_one"])
+def test_products_refuse_a_wrong_length_or_row_count(rank_one):
+    if rank_one:
+        ens = gen_phase_retrieval(n=4, sparsity=1, m=10, noise_norm=0.0, seed=0).objective.ensemble
+    else:
+        ens = gen_synthetic(n=4, r=1, m=10, seed=0).objective.ensemble
+    with pytest.raises(ValueError, match="adjoint input length must match m"):
+        ens.adjoint(np.zeros(9))
+    for product in (ens.apply_factored, lambda v: ens.adjoint_times(np.zeros(10), v)):
+        with pytest.raises(ValueError, match=r"factor must be \(4, r\), got \(5, 1\)"):
+            product(np.ones((5, 1)))
 
 
 @pytest.mark.parametrize("keys", [(), ("operators", "vectors")], ids=["neither", "both"])

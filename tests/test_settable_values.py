@@ -11,7 +11,7 @@ from pathlib import Path
 
 import fpgd
 
-SETTABLE_VALUES = 31
+SETTABLE_VALUES = 30
 
 
 def _settable_values(tree):

@@ -308,7 +308,7 @@ def test_factored_loop_matches_dense_reference(name):
     # golden solve cases: same status and count, every column within 1e-9.
     doc = SOLVE_CASES[name]
     inst = build_instance(doc["problem"], doc["seed"])
-    cfg, algorithm = build_solver_config(doc["solver"], rank=inst.rank)
+    cfg, algorithm = build_solver_config(doc["solver"])
     solve = fgd_solve if algorithm == "fgd" else projfgd_solve
     u, trace = solve(inst, cfg)
     u_ref, ref = dense_projfgd_reference(inst, cfg, fgd=algorithm == "fgd")
@@ -490,6 +490,45 @@ def test_solver_config_validation():
         SolverConfig(rank=1, step_size_constant=2.0)
     with pytest.raises(ValueError):
         SolverConfig(rank=1, step_mode="warp")
+    # Refused on construction, before init_point or the step runs.
+    for key, value in (("rank", 0), ("rank", 1.5), ("max_iters", 2.5)):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            SolverConfig(**{key: value})
+
+
+@pytest.mark.parametrize("solve", [projfgd_solve, fgd_solve])
+def test_rank_defaults_to_the_instance_rank(solve):
+    inst = gen_synthetic(n=6, r=2, m=40, condition_number=2.0, noise_norm=0.0, seed=0)
+    u, trace = solve(inst, SolverConfig(max_iters=20))
+    u_given, trace_given = solve(inst, SolverConfig(rank=inst.rank, max_iters=20))
+    assert u.shape == (6, 2)
+    assert np.array_equal(u, u_given)
+    assert trace.objective == trace_given.objective
+
+
+@pytest.mark.parametrize("rank", [None, 2])
+@pytest.mark.parametrize(
+    "shape", [(6, 3), (6, 0), (5, 2), (12,)], ids=["more_columns", "no_columns", "fewer_rows", "flat"]
+)
+def test_start_of_another_shape_is_refused(rank, shape):
+    # The start must be (n, rank); its column count does not override the rank.
+    inst = gen_synthetic(n=6, r=2, m=40, condition_number=2.0, noise_norm=0.0, seed=0)
+    with pytest.raises(ValueError, match="u0") as excinfo:
+        projfgd_solve(inst, SolverConfig(rank=rank, max_iters=5), u0=np.ones(shape))
+    assert "(6, 2)" in str(excinfo.value) and f"got {shape}" in str(excinfo.value)
+
+
+def test_understated_smoothness_diverges_inside_the_loop():
+    # With L_hat understated to 1e-6 the unit-constant FGD step overshoots at once:
+    # f_1 ~ 0.44 against f_0 ~ 9e-12 from a start 1e-6 away from U*.
+    inst = gen_synthetic(n=6, r=2, m=40, seed=0)
+    inst.objective._smoothness = 1e-6
+    noise = np.random.default_rng(0).standard_normal(inst.truth_factor.shape)
+    cfg = SolverConfig(max_iters=50, step_size_constant=1.0)
+    _, trace = fgd_solve(inst, cfg, u0=inst.truth_factor + 1e-6 * noise)
+    assert trace.status == "diverged"
+    assert trace.n_iters == 1
+    assert trace.objective[0] > 1e6 * trace.initial_objective
 
 
 # ---------------------------------------------------------------------------
