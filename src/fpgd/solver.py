@@ -49,9 +49,9 @@ DEFAULT_TOL = 5e-6
 TRACE_COLUMNS = ("iter", "objective", "rel_change", "xi", "dist", "grad_norm")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    rank: int | None = None  # None -> the instance's rank
+    rank: int | None = None  # a solve runs at instance.rank; a given rank must equal it
     max_iters: int = 10000
     tol: float = DEFAULT_TOL
     step_size_constant: float | None = None  # None -> 1/128 ProjFGD, 1/16 FGD
@@ -150,16 +150,17 @@ def _adaptive_step(ens, l_hat, u, z, constant):
 def _solve(instance, cfg, constraint, default_constant, u0):
     obj = instance.objective
     ens = obj.ensemble
+    if cfg.rank not in (None, instance.rank):
+        raise ValueError(f"rank {cfg.rank} differs from the instance's rank {instance.rank}")
+    if u0 is not None and np.shape(u0) != (obj.dim, instance.rank):
+        raise ValueError(f"u0 must be {(obj.dim, instance.rank)}, got {np.shape(u0)}")
     constant = cfg.step_size_constant if cfg.step_size_constant is not None else default_constant
     l_hat = obj.smoothness()
-    rank = cfg.rank if cfg.rank is not None else instance.rank
     t0 = time.perf_counter()
 
     if u0 is None:
-        f, u = init_point(obj, constraint, rank)
+        f, u = init_point(obj, constraint, instance.rank)
     else:
-        if np.shape(u0) != (obj.dim, rank):
-            raise ValueError(f"u0 must be {(obj.dim, rank)}, got {np.shape(u0)}")
         u, _ = constraint.project(np.asarray(u0))
         f = u
 
@@ -227,7 +228,7 @@ def _solve(instance, cfg, constraint, default_constant, u0):
 def projfgd_solve(instance, cfg, u0=None):
     """Projected factored gradient descent on ``instance``.
 
-    Returns (factor, trace).  ``u0``, an (n, rank) factor, overrides the default
+    Returns (factor, trace).  ``u0``, an (n, instance.rank) factor, overrides the default
     initialization (it is projected onto the constraint set first).
     """
     return _solve(instance, cfg, instance.constraint, PROJFGD_STEP_CONSTANT, u0=u0)

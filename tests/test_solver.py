@@ -494,6 +494,10 @@ def test_solver_config_validation():
     for key, value in (("rank", 0), ("rank", 1.5), ("max_iters", 2.5)):
         with pytest.raises(ValueError, match=f"{key} must be"):
             SolverConfig(**{key: value})
+    # Frozen, so the construction checks hold for the config's life.
+    cfg = SolverConfig(max_iters=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_iters = 2.5
 
 
 @pytest.mark.parametrize("solve", [projfgd_solve, fgd_solve])
@@ -504,6 +508,9 @@ def test_rank_defaults_to_the_instance_rank(solve):
     assert u.shape == (6, 2)
     assert np.array_equal(u, u_given)
     assert trace.objective == trace_given.objective
+    # A solve runs at the instance's rank; a given rank that differs is refused.
+    with pytest.raises(ValueError, match="rank 3 differs from the instance's rank 2"):
+        solve(inst, SolverConfig(rank=3, max_iters=20), u0=np.ones((6, 3)))
 
 
 @pytest.mark.parametrize("rank", [None, 2])
