@@ -190,10 +190,10 @@ def cmd_solve(args):
     seed, out = _seed_and_out(args, doc)
     # A bad solver block fails before the instance is generated.
     cfg, algorithm = build_solver_config(_require(doc, "solver", "config", _object, {}))
-    instance = build_instance(_require(doc, "problem", "config", _object), seed)
+    problem = _require(doc, "problem", "config", _object)
+    instance = build_instance(problem, seed)
     log.info("solving %s instance (n=%d, m=%d) with %s",
-             instance.meta.get("kind", "file"), instance.dim,
-             instance.objective.ensemble.m, algorithm)
+             problem["kind"], instance.dim, instance.objective.ensemble.m, algorithm)
 
     trace, rel = _solve_and_score(instance, cfg, algorithm)
     out.mkdir(parents=True, exist_ok=True)

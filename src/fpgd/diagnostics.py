@@ -2,9 +2,10 @@
 
 Each quantitative claim gets a standalone evaluator that measures the
 inequality margin on concrete instances and reports violations, where a
-violation means margin < -(1e-9 + 1e-9 * scale) with scale the largest
-participating term (absolute-plus-relative tolerance, so checks are not
-scale-fragile).  Out-of-hypothesis trials are skipped and counted, never
+violation means margin < -tol.  The descent and TU checks take
+tol = 1e-9 + 1e-9 * scale with scale the largest participating term
+(absolute-plus-relative, so they are not scale-fragile); the others pin an
+exact tol.  Out-of-hypothesis trials are skipped and counted, never
 asserted.
 """
 
@@ -75,13 +76,11 @@ class LemmaReport:
     worst_margin: float = float("inf")
     context: dict = field(default_factory=dict)
 
-    def record(self, margin, scale=1.0, tol=None):
-        # default tolerance: 1e-9 absolute plus 1e-9 relative to the
-        # largest participating term; pass ``tol`` to pin an exact one
+    def record(self, margin, tol):
+        # one trial; a margin below -tol is a violation
         self.trials += 1
         self.worst_margin = min(self.worst_margin, margin)
-        limit = tol if tol is not None else MARGIN_ABS_TOL + MARGIN_REL_TOL * scale
-        if margin < -limit:
+        if margin < -tol:
             self.violations += 1
 
     def to_json_dict(self):
@@ -191,7 +190,7 @@ def check_descent_lemma(instance, trials, seed):
             report.skipped += 1
             continue
         margin, scale, _ = descent_lemma_margin(instance, point)
-        report.record(margin, scale)
+        report.record(margin, MARGIN_ABS_TOL + MARGIN_REL_TOL * scale)
     return report
 
 
@@ -212,7 +211,7 @@ def check_tu_inequality(r, seed, complex_field=False):
         lhs = float(np.linalg.norm(u @ u.conj().T - v @ v.conj().T) ** 2)
         sigma_r = float(np.linalg.svd(u, compute_uv=False)[r - 1])
         rhs = const * sigma_r**2 * procrustes_dist(u, v) ** 2
-        report.record(lhs - rhs, max(lhs, rhs))
+        report.record(lhs - rhs, MARGIN_ABS_TOL + MARGIN_REL_TOL * max(lhs, rhs))
     return report
 
 
@@ -300,13 +299,12 @@ def check_xi_bound(instance, iters=400):
     )
     _, trace = projfgd_solve(instance, cfg)
     report = LemmaReport("xi_bound", context={"seed": instance.seed, "steps": trace.n_iters})
-    fired = [x for x in trace.xi if x < 1.0]
-    report.context["fired"] = len(fired)
     for x in trace.xi:
         if x >= 1.0:
             report.skipped += 1
             continue
         report.record(x - XI_LOWER_BOUND, tol=MARGIN_ABS_TOL)
+    report.context["fired"] = report.trials
     return report
 
 
@@ -322,12 +320,10 @@ def check_init_bound(instance):
     if instance.rank != n:
         raise ValueError("initialization bound applies to the full-rank case")
     obj = instance.objective
-    l_hat = obj.smoothness()
-    mu_hat = obj.strong_convexity(n)
     s = _truth_singular_values(instance)
     tau_u = s[0] / s[-1]
     srank = float(np.linalg.norm(s**2)) / s[0] ** 2  # ||X*||_F / ||X*||_2, X* = U* U*^H
-    ratio = min(mu_hat / l_hat, 1.0)
+    ratio = min(obj.strong_convexity(n) / obj.smoothness(), 1.0)
     rho = np.sqrt((1.0 - ratio) / (2.0 * (np.sqrt(2.0) - 1.0))) * tau_u**2 * np.sqrt(srank)
     bound = float(rho * s[-1])
     _, u0 = init_point(obj, unconstrained(), n)
@@ -338,8 +334,6 @@ def check_init_bound(instance):
         "bound": bound,
         "vacuous": bool(vacuous),
         "satisfied": bool(dist <= bound + MARGIN_ABS_TOL),
-        "mu_hat": mu_hat,
-        "l_hat": l_hat,
     }
 
 

@@ -402,17 +402,14 @@ class Objective:
     def dim(self):
         return self.ensemble.dim
 
-    def residual(self, x):
-        return self.ensemble.apply(x) - self.ensemble.y
-
     def value(self, x):
         """f(X) = sum_i (Re trace(E_i X) - y_i)^2."""
-        r = self.residual(x)
+        r = self.ensemble.apply(x) - self.ensemble.y
         return float(r @ r)
 
     def grad(self, x):
         """Matrix gradient 2 sum_i (Re trace(E_i X) - y_i) E_i; Hermitian."""
-        return self.ensemble.adjoint(2.0 * self.residual(x))
+        return self.ensemble.adjoint(2.0 * (self.ensemble.apply(x) - self.ensemble.y))
 
     def factored_grad(self, u):
         """grad(U U^H) @ U = 2 A*(A(U U^H) - y) @ U, without forming U U^H

@@ -7,7 +7,7 @@ true matrix X* = U* U*^H, and the factored-space constraint set.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class ProblemInstance:
     truth_factor: np.ndarray
     constraint: ConstraintSet
     seed: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -212,11 +211,11 @@ def _scaled_noise(rng, m, noise_norm):
     return eta * (noise_norm / np.linalg.norm(eta))
 
 
-def _observed_instance(operator, truth_factor, rng, noise_norm, constraint, seed, meta):
+def _observed_instance(operator, truth_factor, rng, noise_norm, constraint, seed):
     # Shared generator tail: observe X* = U* U*^H through the storage form ``operator``, add the noise,
     # drawn from ``rng`` after everything else, and build the instance once around that y.
     y = operator.apply(truth_factor @ truth_factor.conj().T) + _scaled_noise(rng, operator.m, noise_norm)
-    return ProblemInstance(Objective(MeasurementEnsemble(operator, y, noise_norm)), truth_factor, constraint, seed, meta)
+    return ProblemInstance(Objective(MeasurementEnsemble(operator, y, noise_norm)), truth_factor, constraint, seed)
 
 
 def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
@@ -255,10 +254,7 @@ def gen_qst(q, r, c_sam, noise_norm=1e-3, seed=0):
     spectrum = rng.dirichlet(np.ones(r))
     spectrum = np.sort(spectrum)[::-1]
     truth_factor = basis * np.sqrt(spectrum)
-    return _observed_instance(
-        ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed,
-        meta={"kind": "qst", "q": q, "c_sam": c_sam, "pauli_codes": codes},
-    )
+    return _observed_instance(ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed)
 
 
 def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
@@ -285,10 +281,7 @@ def gen_phase_retrieval(n, sparsity, m, noise_norm=0.0, lam=None, seed=0):
     a /= np.sqrt(2.0)  # in place: the vectors are the one m x n array
     if lam is None:
         lam = 1.2 * float(np.abs(x).sum())
-    return _observed_instance(
-        RankOne(a), x[:, None], rng, noise_norm, l1_ball(lam), seed,
-        meta={"kind": "phase_retrieval", "sparsity": sparsity},
-    )
+    return _observed_instance(RankOne(a), x[:, None], rng, noise_norm, l1_ball(lam), seed)
 
 
 def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
@@ -324,7 +317,4 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
         spectrum = condition_number ** (-np.arange(r) / (r - 1))
     spectrum = spectrum / spectrum.sum()
     truth_factor = basis * np.sqrt(spectrum)
-    return _observed_instance(
-        ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed,
-        meta={"kind": "synthetic", "condition_number": condition_number},
-    )
+    return _observed_instance(ops, truth_factor, rng, noise_norm, frobenius_ball(1.0), seed)

@@ -49,6 +49,10 @@ DEFAULT_TOL = 5e-6
 TRACE_COLUMNS = ("iter", "objective", "rel_change", "xi", "dist", "grad_norm")
 
 
+def _is_int(value):  # a bool is refused: isinstance(True, int) holds, and True would run as 1
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     rank: int | None = None  # a solve runs at instance.rank; a given rank must equal it
@@ -59,11 +63,11 @@ class SolverConfig:
     record_truth_dist: bool = False
 
     def __post_init__(self):
-        if self.rank is not None and not (isinstance(self.rank, (int, np.integer)) and self.rank >= 1):
+        if self.rank is not None and not (_is_int(self.rank) and self.rank >= 1):
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if not self.tol > 0:  # NaN fails too
-            raise ValueError("tol must be positive")
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 0):
+        if not 0 < self.tol < np.inf:  # NaN fails too
+            raise ValueError("tol must be positive and finite")
+        if not (_is_int(self.max_iters) and self.max_iters >= 0):
             raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
         if self.step_size_constant is not None and not 0 < self.step_size_constant <= 1:
             raise ValueError("step size constant must lie in (0, 1]")
@@ -110,13 +114,13 @@ def init_point(obj, constraint, r):
     F comes from one eigendecomposition and has non-increasing column norms.
     The fixed step is taken at X_0, not at U_0 U_0^H.  Degenerate case: if
     -grad f(0) has no positive part, F and U_0 are zero (a documented fixed
-    point of the iteration).
+    point of the iteration); L_hat = 0 only when A = 0, and F = 0 is then not divided by it.
     """
     ens = obj.ensemble
     n = obj.dim
     if not 1 <= r <= n:
         raise ValueError(f"rank r={r} out of range for n={n}")
-    f = factor_from_psd(ens.adjoint(2.0 * ens.y), n) / np.sqrt(obj.smoothness())
+    f = factor_from_psd(ens.adjoint(2.0 * ens.y), n) / np.sqrt(obj.smoothness() or 1.0)
     u0, _ = constraint.project(f[:, :r])
     return f, u0
 

@@ -61,8 +61,8 @@ def test_malformed_config_exits_64(tmp_path):
 @pytest.mark.parametrize(
     "bad",
     [{"step_mode": "bogus"}, {"tol": 0.0}, {"step_size_constant": 1.5}, {"tol": float("nan")},
-     {"algorithm": "nope"}],
-    ids=["step_mode", "tol", "step_size_constant", "tol_nan", "algorithm"],
+     {"tol": float("inf")}, {"algorithm": "nope"}],
+    ids=["step_mode", "tol", "step_size_constant", "tol_nan", "tol_inf", "algorithm"],
 )
 def test_invalid_solver_block_exits_64(tmp_path, bad):
     doc = dict(QST_SOLVE_CONFIG, solver=dict(QST_SOLVE_CONFIG["solver"], **bad))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fpgd.diagnostics import (
+    MARGIN_ABS_TOL,
+    MARGIN_REL_TOL,
     LemmaReport,
     check_contraction,
     check_descent_lemma,
@@ -19,6 +21,7 @@ from fpgd.diagnostics import (
     run_suite,
     contraction_radius,
 )
+from fpgd.objective import MeasurementEnsemble, Objective
 from fpgd.problems import frobenius_ball, gen_synthetic
 from fpgd.solver import SolveTrace
 
@@ -163,8 +166,27 @@ def test_check_contraction_refuses_an_unknown_algorithm():
 def test_lemma_report_counts_a_margin_beyond_its_tolerance():
     report = LemmaReport("margins")
     report.record(-1.0, tol=0.0)
-    report.record(-1e-12, 1.0)  # inside the default 1e-9 + 1e-9 * scale
+    report.record(-1e-12, MARGIN_ABS_TOL + MARGIN_REL_TOL * 1.0)  # the descent and TU rule at scale 1
     assert (report.trials, report.violations, report.worst_margin) == (2, 1, -1.0)
+    with pytest.raises(TypeError):
+        report.record(-1.0)  # one rule: every call names its tolerance
+
+
+def test_points_outside_the_radius_are_skipped():
+    # The truth (norm 1) lies outside the ball of radius 0.5, so every projected point is beyond the radius.
+    inst = gen_synthetic(n=8, r=2, m=96, condition_number=2.0, noise_norm=0.0, seed=0)
+    inst = replace(inst, constraint=frobenius_ball(0.5))
+    for report in (check_descent_lemma(inst, trials=5, seed=0), check_contraction(inst, "projfgd", iters=5)):
+        assert (report.trials, report.skipped, report.violations) == (0, 5, 0)
+
+
+def test_descent_margin_refuses_a_zero_step():
+    # y = 0 and u = 0: both terms of the step denominator vanish.
+    inst = well_conditioned_instance(0)
+    ens = inst.objective.ensemble
+    inst = replace(inst, objective=Objective(MeasurementEnsemble(ens.operator, np.zeros(ens.m))))
+    with pytest.raises(ValueError, match="zero step denominator"):
+        descent_lemma_margin(inst, np.zeros((16, 2)))
 
 
 def test_fitted_rate_below_alpha():

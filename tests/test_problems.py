@@ -77,7 +77,7 @@ def test_qst_noise_norm_exact():
 
 def test_qst_pauli_strings_distinct():
     inst = gen_qst(q=3, r=1, c_sam=3.0, noise_norm=0.0, seed=4)
-    codes = inst.meta["pauli_codes"]
+    codes = problems._sample_distinct_paulis(3, inst.objective.ensemble.m, np.random.default_rng(4))  # its first draw
     assert codes.dtype == np.int64 and len(np.unique(codes)) == len(codes)
 
 
@@ -88,7 +88,7 @@ def test_qst_operators_are_scaled_paulis_bit_for_bit(q):
     # by permutation, m = 333 of 1024 (q = 5) by rejection, zero-padded ones among them.
     inst = gen_qst(q=q, r=1, c_sam=3.0, noise_norm=0.0, seed=4)
     ens = inst.objective.ensemble
-    codes = inst.meta["pauli_codes"]
+    codes = problems._sample_distinct_paulis(q, ens.m, np.random.default_rng(4))  # the generator's first draw
     assert codes.min() >= 0 and codes.max() < 4**q
     scale = (2**q) ** 1.5 / np.sqrt(ens.m)
     expected = np.stack([scale * kron_pauli(np.base_repr(v, 4).zfill(q)) for v in codes])
@@ -116,7 +116,8 @@ def test_qst_rows_by_rejection_sampling_are_scaled_paulis_bit_for_bit():
     # m = 799 of 4096 strings at q = 6 are drawn by rejection, and fill 12 blocks of 64 and one of 31.
     q, n = 6, 64
     inst = gen_qst(q=q, r=1, c_sam=3.0, noise_norm=0.0, seed=5)
-    ens, codes = inst.objective.ensemble, inst.meta["pauli_codes"]
+    ens = inst.objective.ensemble
+    codes = problems._sample_distinct_paulis(q, ens.m, np.random.default_rng(5))  # the generator's first draw
     scale = n**1.5 / np.sqrt(ens.m)
     expected = DenseStack((scale * kron_pauli(np.base_repr(v, 4).zfill(q)) for v in codes), ens.m, n, True)
     assert ens.m == 799 and ens.operator.array.tobytes() == expected.array.tobytes()
@@ -250,6 +251,11 @@ def test_synthetic_noiseless_consistency():
 def test_synthetic_rejects_bad_condition_number():
     with pytest.raises(ValueError):
         gen_synthetic(n=8, r=2, m=50, condition_number=0.5)
+
+
+def test_synthetic_refuses_zero_measurements():
+    with pytest.raises(ValueError, match="need at least one measurement"):
+        gen_synthetic(n=4, r=1, m=0)
 
 
 def test_synthetic_determinism():
@@ -422,7 +428,7 @@ def test_instance_roundtrip(tmp_path, kind):
 
 def test_instance_derives_truth_x_and_rank_from_the_factor():
     names = [f.name for f in dataclasses.fields(ProblemInstance)]
-    assert names == ["objective", "truth_factor", "constraint", "seed", "meta"]
+    assert names == ["objective", "truth_factor", "constraint", "seed"]
     inst = gen_synthetic(n=6, r=2, m=20, condition_number=2.0, noise_norm=0.0, seed=13)
     assert inst.rank == 2
     assert inst.objective.value(inst.truth_x) == 0.0
@@ -559,3 +565,12 @@ def test_memory_guard_passes_fitting_and_unknown_sizes(monkeypatch):
 def test_mem_available_bytes_reads_meminfo_or_none():
     available = problems._mem_available_bytes()
     assert available is None or (isinstance(available, int) and available > 0)
+
+
+def test_unreadable_meminfo_leaves_generation_unchecked(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("unreadable")
+
+    monkeypatch.setattr(problems, "open", refuse, raising=False)  # shadows the builtin in the module
+    assert problems._mem_available_bytes() is None
+    assert gen_synthetic(n=4, r=1, m=8, seed=0).objective.ensemble.m == 8

@@ -1,17 +1,21 @@
 """The number of values a caller can set in the library, pinned.
 
 A settable value is a defaulted function parameter or a CLI argument
-(one ``add_argument`` call), counted over the modules of ``fpgd``.  A
-change that adds or removes one updates ``SETTABLE_VALUES`` in the same
-diff and says why.
+(one ``add_argument`` call), counted over the modules of ``fpgd``; each
+field of ``SolverConfig`` is one more, pinned apart.  A change that adds
+or removes one updates ``SETTABLE_VALUES`` or ``SOLVER_CONFIG_FIELDS`` in
+the same diff and says why.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import fpgd
+from fpgd.solver import SolverConfig
 
-SETTABLE_VALUES = 30
+SETTABLE_VALUES = 28
+SOLVER_CONFIG_FIELDS = 6
 
 
 def _settable_values(tree):
@@ -29,3 +33,7 @@ def test_settable_value_count_is_pinned():
     assert modules
     total = sum(_settable_values(ast.parse(path.read_text())) for path in modules)
     assert total == SETTABLE_VALUES
+
+
+def test_solver_config_field_count_is_pinned():
+    assert len(dataclasses.fields(SolverConfig)) == SOLVER_CONFIG_FIELDS

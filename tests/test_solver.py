@@ -278,6 +278,20 @@ def test_zero_observations_converge_without_a_step(solve, step_mode):
     assert np.array_equal(u, np.zeros((6, 2)))
 
 
+@pytest.mark.parametrize("solve", [projfgd_solve, fgd_solve])
+@pytest.mark.parametrize("step_mode", ["fixed_from_init", "adaptive_per_iter"])
+def test_zero_operator_ensemble_is_a_fixed_point(solve, step_mode):
+    # A = 0 gives L_hat = 0 (the power iteration stops at A A*(z) = 0) and F = 0: F is not divided
+    # by sqrt(0), and the solve stops at its fixed point instead of starting from NaN.
+    ens = MeasurementEnsemble(np.zeros((5, 3, 3)), np.ones(5))
+    inst = ProblemInstance(Objective(ens), np.ones((3, 1)) / 3, frobenius_ball(1.0), 0)
+    u, trace = solve(inst, SolverConfig(step_mode=step_mode))
+    assert inst.objective.smoothness() == 0.0
+    assert (trace.status, trace.n_iters) == ("converged", 0)
+    assert np.isnan(trace.step_eta)
+    assert np.array_equal(u, np.zeros((3, 1)))
+
+
 def test_rank_one_solve_matches_dense_twin(tmp_path):
     # The sensing-vector form and its materialized (m, n, n) stack run the
     # same iteration: same status and count, every trace column within 1e-9.
@@ -491,7 +505,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rank=1, step_mode="warp")
     # Refused on construction, before init_point or the step runs.
-    for key, value in (("rank", 0), ("rank", 1.5), ("max_iters", 2.5)):
+    # A bool is refused though isinstance(True, int) holds, and so is a tol that is not finite.
+    for key, value in (("rank", 0), ("rank", 1.5), ("rank", True), ("max_iters", 2.5), ("max_iters", True),
+                       ("max_iters", False), ("tol", np.inf)):
         with pytest.raises(ValueError, match=f"{key} must be"):
             SolverConfig(**{key: value})
     # Frozen, so the construction checks hold for the config's life.
