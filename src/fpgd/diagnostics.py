@@ -9,7 +9,7 @@ exact tol.  Out-of-hypothesis trials are skipped and counted, never
 asserted.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -84,15 +84,8 @@ class LemmaReport:
             self.violations += 1
 
     def to_json_dict(self):
-        worst = self.worst_margin
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "worst_margin": None if np.isinf(worst) else worst,
-            "context": self.context,
-        }
+        # the fields as they are, but an infinite worst_margin (no trial ran) as null
+        return asdict(self) | {"worst_margin": None if np.isinf(self.worst_margin) else self.worst_margin}
 
 
 def relative_error(xhat, xstar):

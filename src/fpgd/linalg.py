@@ -116,27 +116,23 @@ def psd_project(m):
     return 0.5 * (out + out.conj().T)
 
 
-def factor_from_psd(x, r):
-    """n x r factor U with U U^H = best rank-r PSD part of Hermitian ``x``.
+def factor_from_psd(x):
+    """n x n factor F with F F^H = the PSD part of Hermitian ``x``.
 
-    Column j is sqrt(lambda_j) v_j for the j-th largest eigenvalue, so the
-    columns are orthogonal with non-increasing norms and the first k
-    columns of the rank-r factor are the rank-k factor.  The largest-modulus
-    entry of each eigenvector is real-positive, so the factor is
-    deterministic up to degeneracies.  Eigenvalues below 1e-12 * lambda_max
-    count as zero and yield zero columns, so the factor always has exactly
-    r columns.  Requires 1 <= r <= n.
+    Column j is sqrt(lambda_j) v_j for the j-th largest eigenvalue, each
+    column independent of the others, so the columns are orthogonal with
+    non-increasing norms and F[:, :r] is the factor of the best rank-r PSD
+    part.  The largest-modulus entry of each eigenvector is real-positive,
+    so the factor is deterministic up to degeneracies.  Eigenvalues below
+    1e-12 * lambda_max count as zero and yield zero columns.
     """
     x = require_hermitian(x)
-    n = x.shape[0]
-    if not 1 <= r <= n:
-        raise ValueError(f"rank r={r} out of range for n={n}")
     w, v = np.linalg.eigh(x)  # ascending
-    idx = np.argsort(w)[::-1][:r]
+    idx = np.argsort(w)[::-1]
     vals = w[idx]
     vals[vals <= _RANK_EPS * max(vals[0], 0.0)] = 0.0
     v = v[:, idx]
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(r)]  # nonzero: unit columns
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(len(idx))]  # nonzero: unit columns
     return v * (pivots.conj() / np.abs(pivots)) * np.sqrt(vals)
 
 

@@ -22,8 +22,6 @@ primitives of ``MeasurementEnsemble``:
 a dense stack uses the ensemble's ``apply(U U^H)`` and ``adjoint(z) @ V``.
 """
 
-import json
-
 import numpy as np
 
 from .linalg import _BLOCK_BYTES, gaussian, require_hermitian
@@ -373,15 +371,6 @@ class MeasurementEnsemble:
         operator = forms[0].from_json_rows(doc[forms[0].json_key], n, field == "complex")
         y = _decode_array(doc["y"], False, (len(doc["y"]),))
         return cls(operator, y, _number(float)(doc["noise_norm"]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 class Objective:

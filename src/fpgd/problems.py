@@ -129,7 +129,8 @@ class ProblemInstance:
 
     def save(self, ensemble_path, companion_path):
         """Write the ensemble JSON and the {truth_factor, constraint, rank, seed} companion."""
-        self.objective.ensemble.save(ensemble_path)
+        with open(ensemble_path, "w") as fh:
+            json.dump(self.objective.ensemble.to_json_dict(), fh)
         doc = {
             "truth_factor": _encode_array(self.truth_factor),
             "constraint": self.constraint.to_json_dict(),
@@ -144,7 +145,8 @@ class ProblemInstance:
         # The n x n "truth" key of older companions is ignored: X* follows from truth_factor.
         with open(companion_path) as fh:
             doc = json.load(fh)
-        ensemble = MeasurementEnsemble.load(ensemble_path)
+        with open(ensemble_path) as fh:
+            ensemble = MeasurementEnsemble.from_json_dict(json.load(fh))
         n = ensemble.dim
         rank = _number(int)(doc["rank"])
         if not 1 <= rank <= n:  # reshaping to (n, -1) would accept -1

@@ -120,7 +120,7 @@ def init_point(obj, constraint, r):
     n = obj.dim
     if not 1 <= r <= n:
         raise ValueError(f"rank r={r} out of range for n={n}")
-    f = factor_from_psd(ens.adjoint(2.0 * ens.y), n) / np.sqrt(obj.smoothness() or 1.0)
+    f = factor_from_psd(ens.adjoint(2.0 * ens.y)) / np.sqrt(obj.smoothness() or 1.0)
     u0, _ = constraint.project(f[:, :r])
     return f, u0
 

@@ -213,7 +213,7 @@ def dense_projfgd_reference(instance, cfg, fgd=False):
     constant = cfg.step_size_constant if cfg.step_size_constant is not None else default
     l_hat = obj.smoothness()
     x_ref = psd_project(ens.adjoint(2.0 * ens.y)) / l_hat
-    u, _ = constraint.project(factor_from_psd(x_ref, instance.rank))
+    u, _ = constraint.project(factor_from_psd(x_ref)[:, : instance.rank])
 
     def gram(v):
         x = v @ v.conj().T

@@ -269,7 +269,7 @@ def test_criterion_11_faithfulness_mapping():
         g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         x = g @ g.conj().T
         x *= rng.uniform(0.2, 1.0) / np.trace(x).real
-        top = factor_from_psd(x, 2)
+        top = factor_from_psd(x)[:, :2]
         worst_norm = max(worst_norm, float(np.linalg.norm(top) ** 2))
     converse_ok = worst_norm <= 1.0 + 1e-12
     ok = forward_ok and converse_ok

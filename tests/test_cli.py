@@ -267,10 +267,10 @@ def test_missing_companion_exits_64_before_the_ensemble_is_read(tmp_path, monkey
     gen_qst(q=1, r=1, c_sam=2.0).save(tmp_path / "ensemble.json", tmp_path / "instance.json")
     (tmp_path / "instance.json").unlink()
 
-    def no_ensemble(path):
+    def no_ensemble(doc):
         raise RuntimeError("ensemble read before the companion was opened")
 
-    monkeypatch.setattr("fpgd.objective.MeasurementEnsemble.load", no_ensemble)
+    monkeypatch.setattr("fpgd.objective.MeasurementEnsemble.from_json_dict", no_ensemble)
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"problem": {"kind": "files", "ensemble_file": str(tmp_path / "ensemble.json"),
                                  "companion_file": str(tmp_path / "instance.json")}})

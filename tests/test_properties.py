@@ -11,6 +11,7 @@ variational inequality, and the Procrustes distance against its symmetry
 and rotation invariance.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -198,8 +199,8 @@ def test_packed_dense_form_refuses_non_hermitian_and_survives_save_load(spec):
             MeasurementEnsemble(bad, ens.y)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ensemble.json"
-        ens.save(path)
-        back = MeasurementEnsemble.load(path)
+        path.write_text(json.dumps(ens.to_json_dict()))
+        back = MeasurementEnsemble.from_json_dict(json.loads(path.read_text()))
     x = _draw(rng, (n, n), True)
     z = rng.standard_normal(m)
     assert back.apply(x).tobytes() == ens.apply(x).tobytes()
