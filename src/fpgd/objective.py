@@ -368,6 +368,8 @@ class MeasurementEnsemble:
         if len(forms) != 1:
             keys = " and ".join(repr(form.json_key) for form in _FORMS)
             raise ValueError(f"ensemble JSON needs exactly one of {keys}")
+        if not doc[forms[0].json_key]:  # m = 0, refused before DenseStack spends 16 n^2 bytes on index arrays
+            raise ValueError("ensemble JSON holds no operators")
         operator = forms[0].from_json_rows(doc[forms[0].json_key], n, field == "complex")
         y = _decode_array(doc["y"], False, (len(doc["y"]),))
         return cls(operator, y, _number(float)(doc["noise_norm"]))

@@ -57,6 +57,8 @@ class ConstraintSet:
             if self.lam is None or not self.lam > 0:  # NaN fails too
                 raise ValueError("lam must be positive")
             object.__setattr__(self, "lam", float(self.lam))  # frozen, so set through object
+        elif self.lam is not None:  # its JSON drops lam, so a load would read another set
+            raise ValueError("an unconstrained set takes no lam")
 
     @property
     def faithful(self):
@@ -112,6 +114,11 @@ class ProblemInstance:
     truth_factor: np.ndarray
     constraint: ConstraintSet
     seed: int
+
+    def __post_init__(self):
+        n, shape = self.dim, np.shape(self.truth_factor)
+        if len(shape) != 2 or shape[0] != n or not 1 <= shape[1] <= n:
+            raise ValueError(f"truth_factor must be ({n}, r) with 1 <= r <= {n}, got {shape}")
 
     @property
     def dim(self):
@@ -294,8 +301,8 @@ def gen_synthetic(n, r, m, condition_number=2.0, noise_norm=0.0, seed=0):
     rescaled to unit trace; operators (G + G^T) / (2 sqrt(m)) are
     near-isometric in expectation; constraint is the Frobenius unit ball.
     """
-    if not condition_number >= 1:  # NaN fails too
-        raise ValueError("condition_number must be >= 1")
+    if not 1 <= condition_number < np.inf:  # NaN fails too; inf would zero all but the top singular value
+        raise ValueError("condition_number must be finite and >= 1")
     if not 1 <= r <= n:
         raise ValueError(f"r={r} must be in [1, n = {n}]")
     if m < 1:

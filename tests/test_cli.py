@@ -382,6 +382,7 @@ NAN = float("nan")
      (dict(QST_PROBLEM, noise=float("inf")), "noise_norm must be finite and non-negative"),
      ({"kind": "phase_retrieval", "n": 8, "sparsity": 2, "m": 16, "lam": NAN}, "lam must be"),
      ({"kind": "synthetic", "n": 4, "r": 1, "m": 8, "condition_number": NAN}, "condition_number must be"),
+     ({"kind": "synthetic", "n": 4, "r": 3, "m": 8, "condition_number": float("inf")}, "condition_number must be"),
      ({"kind": "synthetic", "n": 6, "r": 0, "m": 8}, "r=0 must be in [1, n = 6]"),
      (dict(QST_PROBLEM, r=0), "r=0 must be in [1, 2^q = 16]"),
      (dict(QST_PROBLEM, r=-1), "r=-1 must be in [1, 2^q = 16]"),
@@ -389,6 +390,7 @@ NAN = float("nan")
      ({"kind": "phase_retrieval", "n": 8, "sparsity": -1, "m": 16}, "sparsity=-1 must be in [1, n = 8]")],
     ids=["c_sam_too_small", "memory_guard", "memory_guard_q13", "code_width_q64", "c_sam_overflow",
          "phase_retrieval_memory_guard", "noise_nan", "noise_infinite", "lam_nan", "condition_number_nan",
+         "condition_number_infinite",
          "synthetic_rank_zero", "qst_rank_zero", "qst_rank_negative", "sparsity_zero", "sparsity_negative"],
 )
 def test_generator_errors_exit_1(tmp_path, monkeypatch, capsys, problem, message):
@@ -765,6 +767,12 @@ def _rank_one_vectors_under_dim(dim):
     return mutate
 
 
+def _no_operators(doc):
+    # An ensemble of m = 0 operators and observations.
+    doc["y"] = []
+    return []
+
+
 def _rank_above_n_with_factor(doc):
     # rank 3 for n = 2, with a truth_factor of the 2 x 3 shape it names.
     doc["truth_factor"] = [[0.5, 0.0]] * 6
@@ -792,10 +800,11 @@ def _rank_above_n_with_factor(doc):
     ("ensemble.json", "dim", _rank_one_vectors_under_dim(0)),
     ("instance.json", "rank", 1.5),
     ("ensemble.json", "dim", "2"),
+    ("ensemble.json", "operators", _no_operators),
 ], ids=["lam_null", "operators_int", "rank_missing", "rank_negative", "dim_infinite", "dim_huge", "not_hermitian",
         "y_nan", "vectors_nan", "truth_factor_infinite", "rank_above_n", "noise_norm_infinite", "rank_bool",
         "seed_bool", "noise_norm_bool", "lam_bool", "dim_negative_vectors", "dim_zero_vectors",
-        "rank_fractional", "dim_string"])
+        "rank_fractional", "dim_string", "operators_empty"])
 def test_malformed_instance_file_exits_64_naming_it(tmp_path, capsys, where, key, value):
     assert solve_mutated_instance(tmp_path, where, key, value) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fpgd import diagnostics
 from fpgd.diagnostics import (
     MARGIN_ABS_TOL,
     MARGIN_REL_TOL,
@@ -247,6 +248,17 @@ def test_init_bound_requires_full_rank():
 def test_run_suite_unknown_name():
     with pytest.raises(KeyError):
         run_suite("nonsense", seed=0)
+
+
+def test_init_suite_skips_a_vacuous_bound(monkeypatch):
+    # A bound weaker than the triangle inequality tests nothing: each instance is skipped, none is a trial.
+    vacuous = {"dist": 0.5, "bound": 1.0, "vacuous": True, "satisfied": True}
+    monkeypatch.setattr(diagnostics, "check_init_bound", lambda inst: vacuous)
+    report = run_suite("init", seed=3)
+    assert report["violations"] == 0
+    assert report["reports"] == [
+        {"name": "init_bound", "trials": 0, "violations": 0, "skipped": 10, "worst_margin": None, "context": {}}
+    ]
 
 
 def test_run_suite_tu_clean():

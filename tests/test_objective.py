@@ -232,6 +232,20 @@ def test_ensemble_json_roundtrip(tmp_path, complex_field):
     assert back.noise_norm == ens.noise_norm
 
 
+@pytest.mark.parametrize("key", ["operators", "vectors"])
+def test_ensemble_json_without_operators_is_refused_before_a_form_is_built(key):
+    # 75 bytes of JSON: a DenseStack of m = 0 rows would still take 16 n^2 = 64 MB of index arrays at n = 2000.
+    doc = {"dim": 2000, "field": "real", key: [], "y": [], "noise_norm": 0}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ensemble JSON holds no operators"):
+            MeasurementEnsemble.from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("complex_field", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_dense_json_roundtrip_reproduces_packed_rows_bit_for_bit(complex_field, n):

@@ -1,7 +1,9 @@
 """Problem generators: Pauli rows, QST, phase retrieval, synthetic."""
 
 import dataclasses
+import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -368,11 +370,13 @@ def test_constraint_from_json_refuses_bad_kind_or_radius(doc):
 
 @pytest.mark.parametrize(
     "kind, lam",
-    [("frobenius_ball", -1.0), ("box", None), ("l1_ball", None), ("frobenius_ball", float("nan"))],
-    ids=["negative_lam", "unknown_kind", "missing_lam", "nan_lam"],
+    [("frobenius_ball", -1.0), ("box", None), ("l1_ball", None), ("frobenius_ball", float("nan")),
+     ("unconstrained", 5.0)],
+    ids=["negative_lam", "unknown_kind", "missing_lam", "nan_lam", "unconstrained_lam"],
 )
 def test_constraint_set_refuses_bad_kind_or_radius_when_built(kind, lam):
-    # Refused on construction, not first at project or contains.
+    # Refused on construction, not first at project or contains.  An unconstrained lam would be
+    # dropped by its JSON, so the set would not survive a save and load.
     with pytest.raises(ValueError):
         ConstraintSet(kind, lam)
 
@@ -432,6 +436,18 @@ def test_instance_derives_truth_x_and_rank_from_the_factor():
     inst = gen_synthetic(n=6, r=2, m=20, condition_number=2.0, noise_norm=0.0, seed=13)
     assert inst.rank == 2
     assert inst.objective.value(inst.truth_x) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (3, 0), (3, 4), (3,), (3, 1, 1)],
+                         ids=["rows_above_dim", "no_columns", "columns_above_dim", "vector", "three_axes"])
+def test_instance_refuses_a_truth_factor_that_is_not_dim_by_rank(shape):
+    # Refused on construction: a 5-row truth for dim 3 would fail only inside a solve, in procrustes_dist.
+    g = np.random.default_rng(0).standard_normal((20, 3, 3))
+    objective = Objective(MeasurementEnsemble(g + g.transpose(0, 2, 1), np.ones(20)))
+    message = re.escape(f"truth_factor must be (3, r) with 1 <= r <= 3, got {shape}")
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(objective, np.ones(shape), frobenius_ball(1.0), 0)
+    assert ProblemInstance(objective, np.ones((3, 3)), frobenius_ball(1.0), 0).rank == 3
 
 
 def test_instance_is_frozen():
@@ -572,5 +588,13 @@ def test_unreadable_meminfo_leaves_generation_unchecked(monkeypatch):
         raise OSError("unreadable")
 
     monkeypatch.setattr(problems, "open", refuse, raising=False)  # shadows the builtin in the module
+    assert problems._mem_available_bytes() is None
+    assert gen_synthetic(n=4, r=1, m=8, seed=0).objective.ensemble.m == 8
+
+
+def test_meminfo_without_mem_available_leaves_generation_unchecked(monkeypatch):
+    # Kernels before 3.14 write no MemAvailable line; the file reads, but gives no budget.
+    meminfo = "MemTotal:        1024 kB\nMemFree:          512 kB\n"
+    monkeypatch.setattr(problems, "open", lambda *args, **kwargs: io.StringIO(meminfo), raising=False)
     assert problems._mem_available_bytes() is None
     assert gen_synthetic(n=4, r=1, m=8, seed=0).objective.ensemble.m == 8

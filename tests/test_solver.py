@@ -506,8 +506,10 @@ def test_solver_config_validation():
         SolverConfig(rank=1, step_mode="warp")
     # Refused on construction, before init_point or the step runs.
     # A bool is refused though isinstance(True, int) holds, and so is a tol that is not finite.
+    # A bool tol or step constant would run as 1.0, and any truthy record_truth_dist would record.
     for key, value in (("rank", 0), ("rank", 1.5), ("rank", True), ("max_iters", 2.5), ("max_iters", True),
-                       ("max_iters", False), ("tol", np.inf)):
+                       ("max_iters", False), ("tol", np.inf), ("tol", True), ("step_size_constant", True),
+                       ("record_truth_dist", "no"), ("record_truth_dist", 1)):
         with pytest.raises(ValueError, match=f"{key} must be"):
             SolverConfig(**{key: value})
     # Frozen, so the construction checks hold for the config's life.
