@@ -65,16 +65,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.rank is not None and not (_is_int(self.rank) and self.rank >= 1):
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if isinstance(self.tol, bool) or not 0 < self.tol < np.inf:  # NaN fails too; True would run as 1
+        if isinstance(self.tol, (bool, np.bool_)) or not 0 < self.tol < np.inf:  # NaN fails; True runs as 1
             raise ValueError("tol must be positive and finite")
         if not (_is_int(self.max_iters) and self.max_iters >= 0):
             raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
         step = self.step_size_constant
-        if step is not None and (isinstance(step, bool) or not 0 < step <= 1):  # True would run as 1
+        if step is not None and (isinstance(step, (bool, np.bool_)) or not 0 < step <= 1):  # True runs as 1
             raise ValueError(f"step_size_constant must be None or in (0, 1], got {step!r}")
         if self.step_mode not in ("fixed_from_init", "adaptive_per_iter"):
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
-        if not isinstance(self.record_truth_dist, bool):
+        if not isinstance(self.record_truth_dist, (bool, np.bool_)):
             raise ValueError(f"record_truth_dist must be a bool, got {self.record_truth_dist!r}")
 
 

@@ -509,9 +509,11 @@ def test_solver_config_validation():
     # A bool tol or step constant would run as 1.0, and any truthy record_truth_dist would record.
     for key, value in (("rank", 0), ("rank", 1.5), ("rank", True), ("max_iters", 2.5), ("max_iters", True),
                        ("max_iters", False), ("tol", np.inf), ("tol", True), ("step_size_constant", True),
-                       ("record_truth_dist", "no"), ("record_truth_dist", 1)):
+                       ("tol", np.True_), ("step_size_constant", np.True_), ("record_truth_dist", "no"),
+                       ("record_truth_dist", 1)):
         with pytest.raises(ValueError, match=f"{key} must be"):
             SolverConfig(**{key: value})
+    assert SolverConfig(record_truth_dist=np.True_).record_truth_dist
     # Frozen, so the construction checks hold for the config's life.
     cfg = SolverConfig(max_iters=5)
     with pytest.raises(dataclasses.FrozenInstanceError):
